@@ -190,7 +190,8 @@ CableChannel::addSignatures(SignatureHashTable &table,
 }
 
 // ---------------------------------------------------------------------
-// Search + compress, home → remote (Fig 8, §III-E)
+// Search + compress, both directions (Fig 8, §III-E; write-backs
+// run the same machinery in reverse, §III-G)
 // ---------------------------------------------------------------------
 
 BitVec
@@ -278,8 +279,38 @@ CableChannel::traceControl(TraceEvent::Type type, Addr addr,
 // high-water capacity, so the search pipeline stops allocating after
 // warm-up; the engine's DIFF bitstreams are exempt by design)
 CableChannel::Chosen
-CableChannel::compressForSend(const CacheLine &data, LineID self_home)
+CableChannel::encode(const CacheLine &data, LineID self, bool writeback)
 {
+    // The per-direction facts; everything below them is shared.
+    // Responses search the home table and name a home candidate by
+    // the remote slot its WMT entry records. Write-backs search the
+    // remote table and name a remote line by its own LID, which is
+    // only usable while the line is clean and WMT-tracked: the home
+    // must hold the identical data.
+    SignatureHashTable &table = writeback ? remote_ht_ : home_ht_;
+    const Cache &cand_cache = writeback ? remote_ : home_;
+    const char *const searches_stat =
+        writeback ? "wb_searches" : "searches";
+    const char *const reads_stat =
+        writeback ? "wb_data_reads" : "data_reads";
+    const char *const stale_stat =
+        writeback ? "remote_ht_stale_hits" : "home_ht_stale_hits";
+    auto wireRef = [&](LineID lid,
+                       const Cache::Entry &e) -> std::optional<LineID> {
+        if (writeback) {
+            if (!e.valid() || e.dirty() || !wmt_.occupant(lid.set, lid.way))
+                return std::nullopt;
+            return lid;
+        }
+        if (!e.valid())
+            return std::nullopt;
+        std::uint32_t rset = remote_.setOf(e.tag << kLineShift);
+        auto rway = wmt_.lookupRemoteWay(rset, lid);
+        if (!rway)
+            return std::nullopt;
+        return LineID(rset, *rway);
+    };
+
     maybeCorruptMetadata();
     Chosen chosen;
     // Span sampling decision for this transfer ordinal; unsampled
@@ -287,7 +318,8 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
     // branch and nothing else.
     if (trace_)
         (void)spans_.arm(trace_seq_);
-    if (!cfg_.compression_enabled) {
+    if (!cfg_.compression_enabled
+        || (writeback && !cfg_.writeback_compression)) {
         chosen.raw = true;
         return chosen;
     }
@@ -300,27 +332,36 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
             data.data(), cfg_.sig.trivial_threshold));
     spans_.close(sp_line);
 
-    // Self-compression runs concurrently with the search (§III-E);
-    // a high enough ratio skips the reference path entirely.
-    BitVec self;
+    // Self-compression runs concurrently with the search (§III-E).
+    BitVec self_bits;
     {
         CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
         int sp_self = spans_.open(Stage::Serialize, sp_line);
-        self = engine_->compress(data, {});
+        self_bits = engine_->compress(data, {});
         spans_.close(sp_self);
     }
-    std::size_t self_cost =
-        kWireCompressedHeaderBits + self.sizeBits();
-    if (self.sizeBits() > 0
+    const std::size_t self_cost =
+        kWireCompressedHeaderBits + self_bits.sizeBits();
+    // The reference-free outcome: self-compressed unless raw is
+    // cheaper.
+    auto withoutRefs = [&] {
+        if (self_cost <= raw_cost) {
+            chosen.diff = std::move(self_bits);
+            chosen.self_only = true;
+        } else {
+            chosen.raw = true;
+        }
+        return std::move(chosen);
+    };
+
+    // Send only: a high enough self ratio skips the reference path.
+    if (!writeback && self_bits.sizeBits() > 0
         && static_cast<double>(kLineBytes * 8)
-                   / static_cast<double>(self.sizeBits())
+                   / static_cast<double>(self_bits.sizeBits())
                >= cfg_.self_ratio_threshold) {
         stats_.add("self_threshold_hits", 1);
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self);
-            chosen.self_only = true;
-            return chosen;
-        }
+        if (self_cost <= raw_cost)
+            return withoutRefs();
     }
 
     // Degraded mode: the metadata just resynchronized after a
@@ -328,20 +369,19 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
     // window passes (health-state machine, DESIGN.md).
     if (health_ == Health::Degraded) {
         stats_.add("degraded_self_only", 1);
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self);
-            chosen.self_only = true;
-        } else {
-            chosen.raw = true;
-        }
-        return chosen;
+        return withoutRefs();
     }
+    // §IV-C: without inclusivity the remote cannot assume its lines
+    // exist at the home, so write-backs use non-dictionary (self)
+    // compression.
+    if (writeback && !cfg_.inclusive)
+        return withoutRefs();
 
     // (1) extract search signatures, (2) probe the hash table. The
     // whole pipeline runs out of the reusable scratch arena: no
     // container below allocates once its high-water capacity is
     // reached.
-    stats_.add("searches", 1);
+    stats_.add(searches_stat, 1);
     SearchScratch &s = scratch_;
     // Runtime twin of lint rule R001: counts heap allocations over
     // the whole search pipeline (extract → probe → rank → CBV →
@@ -359,194 +399,18 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
         int sp_probe = spans_.open(Stage::Probe);
         s.hits.clear();
         for (std::uint32_t sig : s.sigs)
-            home_ht_.lookup(sig, s.hits);
+            table.lookup(sig, s.hits);
         spans_.close(sp_probe);
     }
     chosen.sigs_used = s.sigs.size();
     chosen.ht_hits = static_cast<unsigned>(s.hits.size());
-    stats_.add("ht_hits", s.hits.size());
+    // Send only: the phase detector reads it as the response-search
+    // hit count.
+    if (!writeback)
+        stats_.add("ht_hits", s.hits.size());
 
     // (3) pre-rank by duplication count (first-seen order breaks
     // ties), keep the top data_accesses candidates.
-    int sp_score = spans_.open(Stage::Score);
-    s.ranked.clear();
-    for (LineID lid : s.hits) {
-        if (lid == self_home)
-            continue;
-        auto it = std::find_if(s.ranked.begin(), s.ranked.end(),
-                               [&](const auto &p) {
-                                   return p.first == lid;
-                               });
-        if (it == s.ranked.end())
-            s.ranked.emplace_back(lid, 1);
-        else
-            ++it->second;
-    }
-    sortByDuplication(s.ranked);
-    if (s.ranked.size() > cfg_.data_accesses)
-        // cable-lint: allow(R001) shrink-only resize; capacity kept
-        s.ranked.resize(cfg_.data_accesses);
-
-    // (4) read candidates from the data array, build CBVs, and
-    // greedily select references maximizing coverage. A candidate
-    // must still translate through the WMT (present at the remote).
-    s.cand_rlids.clear();
-    s.cand_data.clear();
-    s.cbvs.clear();
-    unsigned npicks = 0;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_cbv_ns");
-        for (const auto &[lid, dup] : s.ranked) {
-            const Cache::Entry &e = home_.entryAt(lid);
-            // Stale candidates — the hash table pointed at a slot
-            // that no longer holds usable reference data. Expected
-            // in an inexact table (§III-B); the rate is the cost.
-            if (!e.valid()) {
-                stats_.add("home_ht_stale_hits", 1);
-                continue;
-            }
-            Addr cand_addr = e.tag << kLineShift;
-            std::uint32_t rset = remote_.setOf(cand_addr);
-            auto rway = wmt_.lookupRemoteWay(rset, lid);
-            if (!rway) {
-                stats_.add("home_ht_stale_hits", 1);
-                continue;
-            }
-            stats_.add("data_reads", 1);
-            s.cand_rlids.push_back(LineID(rset, *rway));
-            s.cand_data.push_back(&e.data);
-            s.cbvs.push_back(coverageVector(data, e.data));
-        }
-        npicks = selectByCoverageInto(
-            s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
-            cfg_.max_refs, s.picks.data());
-    }
-    spans_.close(sp_score);
-    if (alloc_guard::hooksInstalled())
-        stats_.add("search_allocs", search_allocs.allocations());
-
-    chosen.ranked = static_cast<unsigned>(s.cand_rlids.size());
-    for (unsigned p = 0; p < npicks; ++p)
-        chosen.cbv_union |= s.cbvs[s.picks[p]];
-    chosen.covered_words = popcount32(chosen.cbv_union);
-    recordSearchShape(chosen, /*writeback=*/false);
-
-    Chosen with_refs;
-    with_refs.sigs_used = chosen.sigs_used;
-    with_refs.trivial_words = chosen.trivial_words;
-    with_refs.ht_hits = chosen.ht_hits;
-    with_refs.ranked = chosen.ranked;
-    with_refs.cbv_union = chosen.cbv_union;
-    with_refs.covered_words = chosen.covered_words;
-    for (unsigned p = 0; p < npicks; ++p)
-        with_refs.addRef(s.cand_rlids[s.picks[p]],
-                         s.cand_data[s.picks[p]]);
-
-    std::size_t refs_cost = raw_cost + 1;
-    if (with_refs.nrefs > 0) {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
-        int sp_refs = spans_.open(Stage::Serialize, sp_score);
-        s.engine_refs.assign(with_refs.refs.begin(),
-                             with_refs.refs.begin() + with_refs.nrefs);
-        with_refs.diff = engine_->compress(data, s.engine_refs);
-        refs_cost = kWireCompressedHeaderBits
-                    + with_refs.nrefs * rlid_bits_
-                    + with_refs.diff.sizeBits();
-        spans_.close(sp_refs,
-                     static_cast<std::uint16_t>(with_refs.nrefs));
-    }
-
-    // (5) pick the cheapest representation.
-    if (refs_cost < self_cost && refs_cost < raw_cost)
-        return with_refs;
-    if (self_cost <= raw_cost) {
-        chosen.diff = std::move(self);
-        chosen.self_only = true;
-        return chosen;
-    }
-    chosen.raw = true;
-    return chosen;
-}
-
-// ---------------------------------------------------------------------
-// Search + compress, remote → home (§III-G)
-// ---------------------------------------------------------------------
-
-// cable-lint: no-alloc (same steady-state contract as
-// compressForSend: the shared scratch arena stops allocating after
-// warm-up; DIFF bitstreams are exempt by design)
-CableChannel::Chosen
-CableChannel::compressForWriteBack(const CacheLine &data, LineID self)
-{
-    maybeCorruptMetadata();
-    Chosen chosen;
-    if (trace_)
-        (void)spans_.arm(trace_seq_);
-    if (!cfg_.compression_enabled || !cfg_.writeback_compression) {
-        chosen.raw = true;
-        return chosen;
-    }
-
-    const std::size_t raw_cost =
-        kWireRawHeaderBits + kLineBytes * kBitsPerByte;
-    int sp_line = spans_.open(Stage::Line, -1);
-    if (trace_)
-        chosen.trivial_words = popcount32(trivialMask16(
-            data.data(), cfg_.sig.trivial_threshold));
-    spans_.close(sp_line);
-    BitVec self_bits;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
-        int sp_self = spans_.open(Stage::Serialize, sp_line);
-        self_bits = engine_->compress(data, {});
-        spans_.close(sp_self);
-    }
-    std::size_t self_cost =
-        kWireCompressedHeaderBits + self_bits.sizeBits();
-
-    // Degraded mode: reference compression is disarmed while the
-    // metadata rebuilds after a desync (see compressForSend).
-    if (health_ == Health::Degraded) {
-        stats_.add("degraded_self_only", 1);
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self_bits);
-            chosen.self_only = true;
-        } else {
-            chosen.raw = true;
-        }
-        return chosen;
-    }
-
-    if (!cfg_.inclusive) {
-        // §IV-C: without inclusivity the remote cannot assume its
-        // lines exist at the home; fall back to non-dictionary
-        // (self) compression for write-backs.
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self_bits);
-            chosen.self_only = true;
-        } else {
-            chosen.raw = true;
-        }
-        return chosen;
-    }
-
-    stats_.add("wb_searches", 1);
-    SearchScratch &s = scratch_;
-    alloc_guard::Scope search_allocs;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_search_ns");
-        int sp_sig = spans_.open(Stage::Signature, sp_line);
-        extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
-        chosen.sigs_used = s.sigs.size();
-        spans_.close(sp_sig);
-        int sp_probe = spans_.open(Stage::Probe);
-        s.hits.clear();
-        for (std::uint32_t sig : s.sigs)
-            remote_ht_.lookup(sig, s.hits);
-        spans_.close(sp_probe);
-    }
-    chosen.ht_hits = static_cast<unsigned>(s.hits.size());
-
     int sp_score = spans_.open(Stage::Score);
     s.ranked.clear();
     for (LineID lid : s.hits) {
@@ -566,28 +430,26 @@ CableChannel::compressForWriteBack(const CacheLine &data, LineID self)
         // cable-lint: allow(R001) shrink-only resize; capacity kept
         s.ranked.resize(cfg_.data_accesses);
 
+    // (4) read candidates from the data array, build CBVs, and
+    // greedily select references maximizing coverage.
     s.cand_rlids.clear();
     s.cand_data.clear();
     s.cbvs.clear();
     unsigned npicks = 0;
+    std::uint64_t stale = 0;
     {
         CABLE_TIMED_SCOPE(stats_, "t_cbv_ns");
         for (const auto &[lid, dup] : s.ranked) {
-            const Cache::Entry &e = remote_.entryAt(lid);
-            // Only clean shared remote lines are valid references:
-            // the home side must hold the identical data.
-            if (!e.valid() || e.dirty()) {
-                stats_.add("remote_ht_stale_hits", 1);
+            const Cache::Entry &e = cand_cache.entryAt(lid);
+            // Stale candidates — the hash table pointed at a slot
+            // that no longer holds usable reference data. Expected
+            // in an inexact table (§III-B); the rate is the cost.
+            std::optional<LineID> rlid = wireRef(lid, e);
+            if (!rlid) {
+                ++stale;
                 continue;
             }
-            // The home side will translate through its WMT; skip
-            // lines it is not tracking.
-            if (!wmt_.occupant(lid.set, lid.way)) {
-                stats_.add("remote_ht_stale_hits", 1);
-                continue;
-            }
-            stats_.add("wb_data_reads", 1);
-            s.cand_rlids.push_back(lid);
+            s.cand_rlids.push_back(*rlid);
             s.cand_data.push_back(&e.data);
             s.cbvs.push_back(coverageVector(data, e.data));
         }
@@ -598,47 +460,42 @@ CableChannel::compressForWriteBack(const CacheLine &data, LineID self)
     spans_.close(sp_score);
     if (alloc_guard::hooksInstalled())
         stats_.add("search_allocs", search_allocs.allocations());
+    // Counted once per search, outside the measured region: the
+    // stale-hit names exceed std::string's small-buffer size, so a
+    // per-candidate add would heap-allocate inside the search.
+    if (stale > 0)
+        stats_.add(stale_stat, stale);
+    if (!s.cand_rlids.empty())
+        stats_.add(reads_stat, s.cand_rlids.size());
 
     chosen.ranked = static_cast<unsigned>(s.cand_rlids.size());
     for (unsigned p = 0; p < npicks; ++p)
         chosen.cbv_union |= s.cbvs[s.picks[p]];
     chosen.covered_words = popcount32(chosen.cbv_union);
-    recordSearchShape(chosen, /*writeback=*/true);
-
-    Chosen with_refs;
-    with_refs.sigs_used = chosen.sigs_used;
-    with_refs.trivial_words = chosen.trivial_words;
-    with_refs.ht_hits = chosen.ht_hits;
-    with_refs.ranked = chosen.ranked;
-    with_refs.cbv_union = chosen.cbv_union;
-    with_refs.covered_words = chosen.covered_words;
-    for (unsigned p = 0; p < npicks; ++p)
-        with_refs.addRef(s.cand_rlids[s.picks[p]],
-                         s.cand_data[s.picks[p]]);
+    recordSearchShape(chosen, writeback);
 
     std::size_t refs_cost = raw_cost + 1;
-    if (with_refs.nrefs > 0) {
+    BitVec refs_diff;
+    if (npicks > 0) {
         CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
         int sp_refs = spans_.open(Stage::Serialize, sp_score);
-        s.engine_refs.assign(with_refs.refs.begin(),
-                             with_refs.refs.begin() + with_refs.nrefs);
-        with_refs.diff = engine_->compress(data, s.engine_refs);
-        refs_cost = kWireCompressedHeaderBits
-                    + with_refs.nrefs * rlid_bits_
-                    + with_refs.diff.sizeBits();
-        spans_.close(sp_refs,
-                     static_cast<std::uint16_t>(with_refs.nrefs));
+        s.engine_refs.clear();
+        for (unsigned p = 0; p < npicks; ++p)
+            s.engine_refs.push_back(s.cand_data[s.picks[p]]);
+        refs_diff = engine_->compress(data, s.engine_refs);
+        refs_cost = kWireCompressedHeaderBits + npicks * rlid_bits_
+                    + refs_diff.sizeBits();
+        spans_.close(sp_refs, static_cast<std::uint16_t>(npicks));
     }
 
-    if (refs_cost < self_cost && refs_cost < raw_cost)
-        return with_refs;
-    if (self_cost <= raw_cost) {
-        chosen.diff = std::move(self_bits);
-        chosen.self_only = true;
+    // (5) pick the cheapest representation.
+    if (refs_cost < self_cost && refs_cost < raw_cost) {
+        for (unsigned p = 0; p < npicks; ++p)
+            chosen.addRef(s.cand_rlids[s.picks[p]]);
+        chosen.diff = std::move(refs_diff);
         return chosen;
     }
-    chosen.raw = true;
-    return chosen;
+    return withoutRefs();
 }
 
 // ---------------------------------------------------------------------
@@ -718,58 +575,37 @@ firstMismatchWord(const CacheLine &a, const CacheLine &b)
 } // namespace
 
 void
-CableChannel::verifyResponse(const Chosen &chosen,
-                             const CacheLine &original, Addr addr)
+CableChannel::decodeVerify(const Chosen &chosen,
+                           const CacheLine &original, Addr addr,
+                           bool writeback)
 {
     if (!cfg_.verify_roundtrip || chosen.raw)
         return;
-    // Receiver-side reconstruction: read the references from the
-    // remote cache's own data array. The reference list is scratch,
-    // reused across transfers.
+    // Receiver-side reconstruction from the receiver's own data
+    // array: a response reads the remote slot each RemoteLID names;
+    // a write-back translates it through the WMT into a home slot.
+    auto refData = [&](LineID rlid) -> const CacheLine & {
+        if (!writeback)
+            return remote_.entryAt(rlid).data;
+        auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
+        if (!hlid)
+            throw CableDesyncError(addr, writeback, chosen.refVector(),
+                                   CableDesyncError::kNoWord,
+                                   "reference to untracked remote line");
+        return home_.entryAt(*hlid).data;
+    };
+    // The reference list is scratch, reused across transfers.
     RefList &refs = scratch_.verify_refs;
     refs.clear();
     for (unsigned i = 0; i < chosen.nrefs; ++i)
-        refs.push_back(&remote_.entryAt(chosen.ref_rlids[i]).data);
+        refs.push_back(&refData(chosen.ref_rlids[i]));
     CacheLine out;
     {
         CABLE_TIMED_SCOPE(stats_, "t_decompress_ns");
         out = engine_->decompress(chosen.diff, refs);
     }
     if (out != original)
-        throw CableDesyncError(addr, /*writeback=*/false,
-                               chosen.refVector(),
-                               firstMismatchWord(out, original),
-                               "decoded line differs from original");
-}
-
-void
-CableChannel::verifyWriteBack(const Chosen &chosen,
-                              const CacheLine &original, Addr addr)
-{
-    if (!cfg_.verify_roundtrip || chosen.raw)
-        return;
-    // Home-side reconstruction: translate each RemoteLID through the
-    // WMT into a home slot and read the home data array.
-    RefList &refs = scratch_.verify_refs;
-    refs.clear();
-    for (unsigned i = 0; i < chosen.nrefs; ++i) {
-        LineID rlid = chosen.ref_rlids[i];
-        auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
-        if (!hlid)
-            throw CableDesyncError(
-                addr, /*writeback=*/true, chosen.refVector(),
-                CableDesyncError::kNoWord,
-                "reference to untracked remote line");
-        refs.push_back(&home_.entryAt(*hlid).data);
-    }
-    CacheLine out;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_decompress_ns");
-        out = engine_->decompress(chosen.diff, refs);
-    }
-    if (out != original)
-        throw CableDesyncError(addr, /*writeback=*/true,
-                               chosen.refVector(),
+        throw CableDesyncError(addr, writeback, chosen.refVector(),
                                firstMismatchWord(out, original),
                                "decoded line differs from original");
 }
@@ -779,11 +615,13 @@ CableChannel::verifyWriteBack(const Chosen &chosen,
 // ---------------------------------------------------------------------
 
 Transfer
-CableChannel::transmit(Chosen &chosen, bool writeback, Addr addr,
-                       const CacheLine &original)
+CableChannel::transmit(const CacheLine &data, LineID self,
+                       bool writeback, Addr addr)
 {
+    Chosen chosen = encode(data, self, writeback);
+    chosen.payload = bitsOf(data);
     Transfer t = packageTransfer(chosen, writeback);
-    deliver(t, chosen, writeback, addr, original);
+    deliver(t, chosen, writeback, addr, data);
     int sp_ack = spans_.open(Stage::Ack);
     accountTransfer(t);
     trackHealth(t);
@@ -903,10 +741,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
         return;
     int sp_link = spans_.open(Stage::Link);
     try {
-        if (writeback)
-            verifyWriteBack(chosen, original, addr);
-        else
-            verifyResponse(chosen, original, addr);
+        decodeVerify(chosen, original, addr, writeback);
         spans_.close(sp_link);
     } catch (const CableDesyncError &) {
         spans_.close(sp_link, /*aux=*/1);
@@ -1178,6 +1013,22 @@ CableChannel::resynchronize()
     return resynchronizeRange(0, remote_.numSets());
 }
 
+LineID
+CableChannel::trackableHomeLID(LineID rlid) const
+{
+    // Both resident and clean, with bit-identical data.
+    const Cache::Entry &re = remote_.entryAt(rlid);
+    if (!re.valid() || re.dirty())
+        return LineID{};
+    LineID hlid = home_.find(re.tag << kLineShift);
+    if (!hlid.valid)
+        return hlid;
+    const Cache::Entry &he = home_.entryAt(hlid);
+    if (he.dirty() || he.data != re.data)
+        return LineID{};
+    return hlid;
+}
+
 unsigned
 CableChannel::resynchronizeRange(std::uint32_t set_lo,
                                  std::uint32_t set_hi)
@@ -1188,19 +1039,12 @@ CableChannel::resynchronizeRange(std::uint32_t set_lo,
     for (std::uint32_t set = set_lo; set < set_hi; ++set) {
         for (unsigned way = 0; way < remote_.numWays(); ++way) {
             LineID rlid(set, static_cast<std::uint8_t>(way));
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (!re.valid() || re.dirty())
-                continue;
-            Addr vaddr = re.tag << kLineShift;
-            LineID hlid = home_.find(vaddr);
+            LineID hlid = trackableHomeLID(rlid);
             if (!hlid.valid)
                 continue;
-            const Cache::Entry &he = home_.entryAt(hlid);
-            if (he.dirty() || he.data != re.data)
-                continue;
-            wmt_.set(set, static_cast<std::uint8_t>(way), hlid);
-            addSignatures(home_ht_, he.data, hlid);
-            addSignatures(remote_ht_, re.data, rlid);
+            wmt_.set(set, rlid.way, hlid);
+            addSignatures(home_ht_, home_.entryAt(hlid).data, hlid);
+            addSignatures(remote_ht_, remote_.entryAt(rlid).data, rlid);
             ++relinked;
         }
     }
@@ -1281,24 +1125,17 @@ CableChannel::referenceDigest(std::uint32_t set_lo,
                               std::uint32_t set_hi) const
 {
     // Ground-truth twin of metadataDigest: folds the same tuple for
-    // every remote slot that *should* be tracked — resident, clean,
-    // and bit-identical on both sides (the resynchronize() criteria).
+    // every remote slot that *should* be tracked (trackableHomeLID,
+    // the resynchronize() criteria).
     // A range whose two digests differ holds stale or missing WMT
     // state and needs repair.
     std::uint64_t h = kFnvBasis;
     std::uint32_t hi = std::min(set_hi, remote_.numSets());
     for (std::uint32_t set = set_lo; set < hi; ++set) {
         for (unsigned way = 0; way < remote_.numWays(); ++way) {
-            LineID rlid(set, static_cast<std::uint8_t>(way));
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (!re.valid() || re.dirty())
-                continue;
-            Addr vaddr = re.tag << kLineShift;
-            LineID hlid = home_.find(vaddr);
+            LineID hlid = trackableHomeLID(
+                LineID(set, static_cast<std::uint8_t>(way)));
             if (!hlid.valid)
-                continue;
-            const Cache::Entry &he = home_.entryAt(hlid);
-            if (he.dirty() || he.data != re.data)
                 continue;
             h = fnv1a64(h, set);
             h = fnv1a64(h, way);
@@ -1434,9 +1271,7 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
             const Cache::Entry &re = remote_.entryAt(rlid);
             if (re.dirty()) {
                 // Flush the newer remote data over the link first.
-                Chosen chosen = compressForWriteBack(re.data, rlid);
-                chosen.payload = bitsOf(re.data);
-                Transfer t = transmit(chosen, true, vaddr, re.data);
+                Transfer t = transmit(re.data, rlid, true, vaddr);
                 mem_wb.data = re.data;
                 mem_wb.dirty = true;
                 result.backinval_writeback = t;
@@ -1495,9 +1330,7 @@ CableChannel::remoteEvictSlot(LineID rlid)
     if (was_dirty) {
         // Dirty victim: compressed write-back (§III-G). Metadata was
         // already detached at upgrade time.
-        Chosen chosen = compressForWriteBack(vdata, rlid);
-        chosen.payload = bitsOf(vdata);
-        Transfer t = transmit(chosen, true, vaddr, vdata);
+        Transfer t = transmit(vdata, rlid, true, vaddr);
         if (!home_.probe(vaddr)) {
             if (cfg_.inclusive)
                 panic("inclusivity violated: dirty remote line %llx "
@@ -1528,9 +1361,7 @@ CableChannel::respondAndInstall(Addr addr, std::uint8_t vway,
               static_cast<unsigned long long>(addr));
     const CacheLine data = home_.entryAt(home_lid).data;
 
-    Chosen chosen = compressForSend(data, home_lid);
-    chosen.payload = bitsOf(data);
-    Transfer t = transmit(chosen, false, addr, data);
+    Transfer t = transmit(data, home_lid, false, addr);
 
     std::uint32_t rset = remote_.setOf(addr);
     if (remote_.entryAt(LineID(rset, vway)).valid())
@@ -1635,9 +1466,7 @@ CableChannel::writeBack(Addr addr, const CacheLine &data)
     if (!rlid.valid)
         panic("writeBack: %llx not resident at remote",
               static_cast<unsigned long long>(addr));
-    Chosen chosen = compressForWriteBack(data, rlid);
-    chosen.payload = bitsOf(data);
-    Transfer t = transmit(chosen, true, addr, data);
+    Transfer t = transmit(data, rlid, true, addr);
     if (!home_.probe(addr)) {
         if (cfg_.inclusive)
             panic("writeBack: inclusivity violated for %llx",

@@ -559,14 +559,10 @@ class CableChannel
         unsigned sigs_used = 0; // search signatures extracted
         unsigned nrefs = 0;     // references selected
         /** Remote LIDs on the wire; fixed capacity (kMaxRefsCap)
-         *  keeps the steady-state encode path allocation-free. Both
-         *  arrays are value-initialized: Chosen objects are copied
-         *  whole before all slots are filled, and copying
-         *  indeterminate bytes is undefined behaviour
-         *  (-Wmaybe-uninitialized flagged it). */
+         *  keeps the steady-state encode path allocation-free.
+         *  Value-initialized: a Chosen is moved whole before all
+         *  slots are filled (-Wmaybe-uninitialized flagged it). */
         std::array<LineID, kMaxRefsCap> ref_rlids{};
-        /** Sender-side reference data, parallel to ref_rlids. */
-        std::array<const CacheLine *, kMaxRefsCap> refs{};
         bool self_only = false;
         bool raw = false;
         // ---- telemetry decision record ------------------------------
@@ -576,13 +572,7 @@ class CableChannel
         std::uint32_t cbv_union = 0; // union CBV of selected refs
         unsigned covered_words = 0;  // popcount of cbv_union
 
-        void
-        addRef(LineID rlid, const CacheLine *data)
-        {
-            ref_rlids[nrefs] = rlid;
-            refs[nrefs] = data;
-            ++nrefs;
-        }
+        void addRef(LineID rlid) { ref_rlids[nrefs++] = rlid; }
 
         /** Cold-path copy of the wire LIDs (desync diagnostics). */
         std::vector<LineID>
@@ -617,25 +607,27 @@ class CableChannel
         RefList verify_refs; // reused receiver-side reference list
     };
 
-    /** Home→remote search (Fig 8) + engine delegation (§III-E). */
-    Chosen compressForSend(const CacheLine &data, LineID self_home);
-    /** Remote→home search for write-back compression (§III-G). */
-    Chosen compressForWriteBack(const CacheLine &data, LineID self);
+    /**
+     * Search + engine delegation for one line, in either direction
+     * (Fig 8, §III-E; write-backs run it in reverse, §III-G). @p self
+     * is the line's own slot in the searched table's cache.
+     */
+    Chosen encode(const CacheLine &data, LineID self, bool writeback);
 
     Transfer packageTransfer(const Chosen &chosen, bool writeback);
     void accountTransfer(const Transfer &t);
-    void verifyResponse(const Chosen &chosen,
-                        const CacheLine &original, Addr addr);
-    void verifyWriteBack(const Chosen &chosen,
-                         const CacheLine &original, Addr addr);
+    /** Receiver-side decode from the receiver's own data array,
+     *  checked against @p original; throws CableDesyncError. */
+    void decodeVerify(const Chosen &chosen, const CacheLine &original,
+                      Addr addr, bool writeback);
 
     /**
-     * Full send: package → (under a fault model) corrupt / CRC-check
-     * / NACK-retransmit / raw-fallback → decode-verify → account.
-     * The single entry point every transfer goes through.
+     * Full send: encode → package → (under a fault model) corrupt /
+     * CRC-check / NACK-retransmit / raw-fallback → decode-verify →
+     * account. The single entry point every transfer goes through.
      */
-    Transfer transmit(Chosen &chosen, bool writeback, Addr addr,
-                      const CacheLine &original);
+    Transfer transmit(const CacheLine &data, LineID self, bool writeback,
+                      Addr addr);
     /** Receiver-side ARQ + end-to-end decode verification. */
     void deliver(Transfer &t, const Chosen &chosen, bool writeback,
                  Addr addr, const CacheLine &original);
@@ -659,8 +651,12 @@ class CableChannel
     void addSignatures(SignatureHashTable &table, const CacheLine &data,
                        LineID lid);
 
-    /** Metadata cleanup for the remote slot @p rlid's occupant. */
-    void detachRemoteSlot(LineID rlid);
+    /**
+     * Home slot of remote slot @p rlid's line when the pair should be
+     * tracked — both resident and clean with identical data (the
+     * resynchronize() criteria); an invalid LineID otherwise.
+     */
+    LineID trackableHomeLID(LineID rlid) const;
 
     /**
      * Emits a non-encode (control) trace event, if tracing is on.

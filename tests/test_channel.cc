@@ -112,8 +112,22 @@ TEST(Channel, ZeroLinesSelfCompressWithoutSearch)
         EXPECT_TRUE(r.response.self_only);
         EXPECT_EQ(r.response.nrefs, 0u);
     }
-    EXPECT_GT(rig.channel.stats().get("self_threshold_hits"), 0u);
-    EXPECT_EQ(rig.channel.stats().get("searches"), 0u);
+    const StatSet &stats = rig.channel.stats();
+    EXPECT_GT(stats.get("self_threshold_hits"), 0u);
+    EXPECT_EQ(stats.get("searches"), 0u);
+
+    // The self-ratio early exit is send-only: the same all-zero lines,
+    // dirtied and written back, still run the reference search.
+    const std::uint64_t threshold_hits = stats.get("self_threshold_hits");
+    for (unsigned i = 0; i < 16; ++i) {
+        Addr addr = i * kLineBytes;
+        rig.channel.remoteUpgrade(addr);
+        Transfer t = rig.channel.writeBack(addr, mem.lineAt(addr));
+        EXPECT_TRUE(t.writeback);
+        EXPECT_TRUE(t.self_only);
+    }
+    EXPECT_EQ(stats.get("wb_searches"), 16u);
+    EXPECT_EQ(stats.get("self_threshold_hits"), threshold_hits);
 }
 
 TEST(Channel, RandomDataFallsBackGracefully)

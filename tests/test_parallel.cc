@@ -185,7 +185,8 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
     // select) runs out of SearchScratch, whose containers keep
     // their high-water capacity. After a warm-up phase the
     // channel's own per-search counter must therefore stop moving:
-    // zero heap allocations per steady-state encode search.
+    // zero heap allocations per steady-state encode search, in both
+    // link directions.
     Cache home({"home", 1u << 20, 8});
     Cache remote({"remote", 256u << 10, 8});
     CableChannel channel(home, remote, CableConfig{});
@@ -198,32 +199,47 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
     SyntheticMemory mem(vp, 0, 21);
     Rng rng(22);
 
-    auto fetch = [&](Addr addr) {
-        if (remote.access(addr))
+    // One in four accesses is a store: the dirtied lines are
+    // written back on eviction, which drives the write-back search.
+    auto access = [&]() {
+        Addr addr = rng.below(1 << 13) * kLineBytes;
+        bool store = rng.below(4) == 0;
+        if (remote.access(addr)) {
+            if (store && !remote.entryAt(remote.find(addr)).dirty())
+                channel.remoteUpgrade(addr);
             return;
+        }
         if (!home.probe(addr))
             (void)channel.homeInstall(addr, mem.lineAt(addr));
-        (void)channel.remoteFetch(addr, false);
+        (void)channel.remoteFetch(addr, store);
     };
 
-    // Warm-up: drive enough distinct lines through both compress
-    // paths that every scratch container reaches its high-water
-    // capacity (the footprint exceeds the remote cache, so searches
-    // keep happening instead of degenerating into remote hits).
+    // Warm-up: drive enough distinct lines through both directions
+    // that every scratch container reaches its high-water capacity
+    // (the footprint exceeds the remote cache, so searches keep
+    // happening instead of degenerating into remote hits).
     for (int i = 0; i < 4000; ++i)
-        fetch(rng.below(1 << 13) * kLineBytes);
+        access();
 
-    std::uint64_t searches_before = channel.stats().get("searches");
-    std::uint64_t allocs_before =
-        channel.stats().get("search_allocs");
+    const StatSet &stats = channel.stats();
+    std::uint64_t searches_before = stats.get("searches");
+    std::uint64_t wb_searches_before = stats.get("wb_searches");
+    std::uint64_t allocs_before = stats.get("search_allocs");
     for (int i = 0; i < 4000; ++i)
-        fetch(rng.below(1 << 13) * kLineBytes);
-    std::uint64_t new_searches =
-        channel.stats().get("searches") - searches_before;
+        access();
+    std::uint64_t new_searches = stats.get("searches") - searches_before;
+    std::uint64_t new_wb_searches =
+        stats.get("wb_searches") - wb_searches_before;
 
+    // Floors sit well below the measured counts (1951 searches and
+    // 354 write-back searches), so the assertion below cannot pass
+    // vacuously for either direction.
     EXPECT_GT(new_searches, 500u) << "workload stopped searching; "
                                      "the assertion below is vacuous";
-    EXPECT_EQ(channel.stats().get("search_allocs"), allocs_before)
+    EXPECT_GT(new_wb_searches, 200u)
+        << "workload stopped writing back; the assertion below does "
+           "not cover the write-back search";
+    EXPECT_EQ(stats.get("search_allocs"), allocs_before)
         << "steady-state encode search touched the heap";
 }
 
