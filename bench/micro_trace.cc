@@ -3,8 +3,8 @@
  * Micro-benchmark (google-benchmark): cost of the observability
  * layer on the encode hot path — no tracing at all, span sampling
  * armed but without a sink (must be free), and the full profiled
- * configuration (analyzer sink + 1-in-N span recording + sampled
- * stage timers), at the default and a sparse sample period.
+ * configuration (analyzer sink + 1-in-N span recording), at the
+ * default and a dense sample period.
  *
  * `micro_trace --overhead-check` switches to a self-asserting mode
  * (wired into ctest as bench.trace_overhead): on one shared rig it
@@ -15,8 +15,8 @@
  *   - arming span sampling without a sink costs < 1% (the
  *     zero-cost-when-unobserved guarantee), and
  *   - the full profiled configuration (the cable_sim default: span
- *     period 64, timing period 64, analyzer consuming every event)
- *     costs < 2% encode latency (the ISSUE acceptance bound).
+ *     period 64, analyzer consuming every event) costs < 2% encode
+ *     latency.
  *
  * `micro_trace --analytics-check` gates the phase-analytics layer
  * (DESIGN.md §14) the same way: quantile sketches recording every
@@ -39,7 +39,6 @@
 #include "core/channel.h"
 #include "telemetry/critpath.h"
 #include "telemetry/phase.h"
-#include "telemetry/timing.h"
 #include "telemetry/trace.h"
 #include "workload/value_model.h"
 
@@ -102,7 +101,6 @@ struct Rig
 void
 BM_EncodeNoTracing(benchmark::State &state)
 {
-    setTimingSamplePeriod(0);
     Rig rig;
     for (int i = 0; i < 20000; ++i)
         rig.touch(rig.rng.below(1 << 14) * kLineBytes);
@@ -113,7 +111,6 @@ BM_EncodeNoTracing(benchmark::State &state)
 void
 BM_EncodeSpanSampled(benchmark::State &state)
 {
-    setTimingSamplePeriod(0);
     Rig rig;
     CritPathAnalyzer analyzer;
     AnalyzerOnlySink sink(analyzer);
@@ -126,24 +123,6 @@ BM_EncodeSpanSampled(benchmark::State &state)
         rig.touch(rig.rng.below(1 << 14) * kLineBytes);
     state.counters["spanned"] = static_cast<double>(
         rig.channel.spanRecorder().sampledTransfers());
-}
-
-void
-BM_EncodeProfiled(benchmark::State &state)
-{
-    // The full profiled configuration: analyzer consuming every
-    // event, spans at the default period, sampled stage timers.
-    setTimingSamplePeriod(64);
-    Rig rig;
-    CritPathAnalyzer analyzer;
-    AnalyzerOnlySink sink(analyzer);
-    rig.channel.setTraceSink(&sink);
-    rig.channel.setSpanSampling(64);
-    for (int i = 0; i < 20000; ++i)
-        rig.touch(rig.rng.below(1 << 14) * kLineBytes);
-    for (auto _ : state)
-        rig.touch(rig.rng.below(1 << 14) * kLineBytes);
-    setTimingSamplePeriod(0);
 }
 
 // ---------------------------------------------------------------------
@@ -170,14 +149,12 @@ struct ModeToggle
     Rig &rig;
     TraceSink *sink;               ///< attached when on (may be null)
     std::uint64_t span_period;     ///< span sampling when on
-    std::uint64_t timing_period;   ///< stage-timer sampling when on
 
     void
     set(bool on) const
     {
         rig.channel.setTraceSink(on ? sink : nullptr);
         rig.channel.setSpanSampling(on ? span_period : 0);
-        setTimingSamplePeriod(on ? timing_period : 0);
     }
 
     void
@@ -299,20 +276,19 @@ overheadCheck()
     // Warm caches, hash tables, and scratch high-water marks once;
     // after this every pass over the stream is idempotent, so the
     // on/off halves of each pair see identical state.
-    setTimingSamplePeriod(0);
     for (Addr a : addrs)
         rig.touch(a);
 
     // Arming the recorder without a sink must be free: no caller
     // ever arms it, so the transfer pays a single pointer test.
-    ModeToggle armed{rig, nullptr, 64, 0};
+    ModeToggle armed{rig, nullptr, 64};
     double armed_frac =
         pairedOverhead(armed, addrs, kChunkOps, kPasses);
 
     // The full profiled configuration (the cable_sim default for
     // --critpath-out / --metrics-out): the analyzer consuming every
-    // event, spans and stage timers at the default 1-in-64 period.
-    ModeToggle profiled{rig, &sink, 64, 64};
+    // event, spans at the default 1-in-64 period.
+    ModeToggle profiled{rig, &sink, 64};
     double profiled_frac =
         pairedOverhead(profiled, addrs, kChunkOps, kPasses);
 
@@ -373,7 +349,6 @@ analyticsCheck()
     Rig rig;
     const StatSet epoch = syntheticEpoch();
 
-    setTimingSamplePeriod(0);
     for (Addr a : addrs)
         rig.touch(a);
 
@@ -436,7 +411,6 @@ analyticsCheck()
 
 BENCHMARK(BM_EncodeNoTracing);
 BENCHMARK(BM_EncodeSpanSampled)->Arg(16)->Arg(64);
-BENCHMARK(BM_EncodeProfiled);
 
 int
 main(int argc, char **argv)

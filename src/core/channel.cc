@@ -13,7 +13,6 @@
 #include "compress/lzss.h"
 #include "compress/oracle.h"
 #include "core/cbv.h"
-#include "telemetry/timing.h"
 
 namespace cable
 {
@@ -333,13 +332,9 @@ CableChannel::encode(const CacheLine &data, LineID self, bool writeback)
     spans_.close(sp_line);
 
     // Self-compression runs concurrently with the search (§III-E).
-    BitVec self_bits;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
-        int sp_self = spans_.open(Stage::Serialize, sp_line);
-        self_bits = engine_->compress(data, {});
-        spans_.close(sp_self);
-    }
+    int sp_self = spans_.open(Stage::Serialize, sp_line);
+    BitVec self_bits = engine_->compress(data, {});
+    spans_.close(sp_self);
     const std::size_t self_cost =
         kWireCompressedHeaderBits + self_bits.sizeBits();
     // The reference-free outcome: self-compressed unless raw is
@@ -388,20 +383,17 @@ CableChannel::encode(const CacheLine &data, LineID self, bool writeback)
     // select). test_parallel asserts the counter stops growing once
     // the scratch arena reaches its high-water capacity.
     alloc_guard::Scope search_allocs;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_search_ns");
-        // The search branch forks off the Line span, parallel to the
-        // self-compress Serialize span (§III-E concurrency) — the
-        // critpath analyzer sees a genuine two-branch DAG.
-        int sp_sig = spans_.open(Stage::Signature, sp_line);
-        extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
-        spans_.close(sp_sig);
-        int sp_probe = spans_.open(Stage::Probe);
-        s.hits.clear();
-        for (std::uint32_t sig : s.sigs)
-            table.lookup(sig, s.hits);
-        spans_.close(sp_probe);
-    }
+    // The search branch forks off the Line span, parallel to the
+    // self-compress Serialize span (§III-E concurrency) — the
+    // critpath analyzer sees a genuine two-branch DAG.
+    int sp_sig = spans_.open(Stage::Signature, sp_line);
+    extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
+    spans_.close(sp_sig);
+    int sp_probe = spans_.open(Stage::Probe);
+    s.hits.clear();
+    for (std::uint32_t sig : s.sigs)
+        table.lookup(sig, s.hits);
+    spans_.close(sp_probe);
     chosen.sigs_used = s.sigs.size();
     chosen.ht_hits = static_cast<unsigned>(s.hits.size());
     // Send only: the phase detector reads it as the response-search
@@ -435,28 +427,24 @@ CableChannel::encode(const CacheLine &data, LineID self, bool writeback)
     s.cand_rlids.clear();
     s.cand_data.clear();
     s.cbvs.clear();
-    unsigned npicks = 0;
     std::uint64_t stale = 0;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_cbv_ns");
-        for (const auto &[lid, dup] : s.ranked) {
-            const Cache::Entry &e = cand_cache.entryAt(lid);
-            // Stale candidates — the hash table pointed at a slot
-            // that no longer holds usable reference data. Expected
-            // in an inexact table (§III-B); the rate is the cost.
-            std::optional<LineID> rlid = wireRef(lid, e);
-            if (!rlid) {
-                ++stale;
-                continue;
-            }
-            s.cand_rlids.push_back(*rlid);
-            s.cand_data.push_back(&e.data);
-            s.cbvs.push_back(coverageVector(data, e.data));
+    for (const auto &[lid, dup] : s.ranked) {
+        const Cache::Entry &e = cand_cache.entryAt(lid);
+        // Stale candidates — the hash table pointed at a slot that
+        // no longer holds usable reference data. Expected in an
+        // inexact table (§III-B); the rate is the cost.
+        std::optional<LineID> rlid = wireRef(lid, e);
+        if (!rlid) {
+            ++stale;
+            continue;
         }
-        npicks = selectByCoverageInto(
-            s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
-            cfg_.max_refs, s.picks.data());
+        s.cand_rlids.push_back(*rlid);
+        s.cand_data.push_back(&e.data);
+        s.cbvs.push_back(coverageVector(data, e.data));
     }
+    unsigned npicks = selectByCoverageInto(
+        s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
+        cfg_.max_refs, s.picks.data());
     spans_.close(sp_score);
     if (alloc_guard::hooksInstalled())
         stats_.add("search_allocs", search_allocs.allocations());
@@ -477,7 +465,6 @@ CableChannel::encode(const CacheLine &data, LineID self, bool writeback)
     std::size_t refs_cost = raw_cost + 1;
     BitVec refs_diff;
     if (npicks > 0) {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
         int sp_refs = spans_.open(Stage::Serialize, sp_score);
         s.engine_refs.clear();
         for (unsigned p = 0; p < npicks; ++p)
@@ -599,11 +586,7 @@ CableChannel::decodeVerify(const Chosen &chosen,
     refs.clear();
     for (unsigned i = 0; i < chosen.nrefs; ++i)
         refs.push_back(&refData(chosen.ref_rlids[i]));
-    CacheLine out;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_decompress_ns");
-        out = engine_->decompress(chosen.diff, refs);
-    }
+    CacheLine out = engine_->decompress(chosen.diff, refs);
     if (out != original)
         throw CableDesyncError(addr, writeback, chosen.refVector(),
                                firstMismatchWord(out, original),
@@ -688,20 +671,20 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
     if (fault_ && cfg_.frame_crc_bits > 0) {
         // Receiver-side ARQ: corrupt a copy of the wire image, check
         // the frame CRC, NACK and retransmit with exponential backoff
-        // until clean or the retry budget runs out.
+        // until clean or the retry budget runs out. The first pass is
+        // the receive-side CRC check (Frame); the resend loop a NACK
+        // starts is one Retransmit span whose aux counts the attempts,
+        // so the span count does not grow with the retry budget.
         unsigned attempt = 0;
+        unsigned fallback = 0; // RawFallback aux; 0 = delivered
+        int sp_rx = spans_.open(Stage::Frame);
+        int sp_retx = -1;
         while (true) {
-            // First pass is the receive-side CRC check (Frame);
-            // every retry is a Retransmit span whose aux records the
-            // attempt number — ARQ stalls become visible links in
-            // the transfer's critical path.
-            int sp_rx = spans_.open(attempt == 0 ? Stage::Frame
-                                                 : Stage::Retransmit);
             BitVec received = t.wire;
             unsigned flips = fault_->corruptPacket(received);
             bool crc_ok = checkFrameCrc(received, cfg_.frame_crc_bits);
-            spans_.close(sp_rx,
-                         static_cast<std::uint16_t>(attempt));
+            if (attempt == 0)
+                spans_.close(sp_rx);
             if (flips == 0 && crc_ok)
                 break;
             if (crc_ok) {
@@ -709,22 +692,18 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
                 // Modeled as caught by the end-to-end decode check,
                 // which forces the uncompressed escape hatch.
                 stats_.add("crc_undetected", 1);
-                traceControl(TraceEvent::Type::RawFallback, addr,
-                             writeback, /*aux=*/1);
-                rawFallbackResend(t, chosen.payload);
-                checkArqWatchdog(t, addr, writeback);
-                return;
+                fallback = 1;
+                break;
             }
             stats_.add("crc_detected", 1);
             if (attempt >= cfg_.max_retries) {
                 // Retry budget exhausted: stop resending the fragile
                 // compressed frame and fall back to raw.
-                traceControl(TraceEvent::Type::RawFallback, addr,
-                             writeback, /*aux=*/2);
-                rawFallbackResend(t, chosen.payload);
-                checkArqWatchdog(t, addr, writeback);
-                return;
+                fallback = 2;
+                break;
             }
+            if (attempt == 0)
+                sp_retx = spans_.open(Stage::Retransmit);
             ++attempt;
             t.retries += 1;
             stats_.add("retransmits", 1);
@@ -734,6 +713,15 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
             t.retry_cycles += cfg_.retry_backoff_cycles
                               << std::min(attempt - 1, 16u);
             checkArqWatchdog(t, addr, writeback);
+        }
+        spans_.close(sp_retx, static_cast<std::uint16_t>(
+                                  std::min(attempt, 0xffffu)));
+        if (fallback != 0) {
+            traceControl(TraceEvent::Type::RawFallback, addr,
+                         writeback, fallback);
+            rawFallbackResend(t, chosen.payload);
+            checkArqWatchdog(t, addr, writeback);
+            return;
         }
     }
 

@@ -3,7 +3,6 @@
 #include "common/bitops.h"
 #include "common/log.h"
 #include "compress/factory.h"
-#include "telemetry/timing.h"
 
 namespace cable
 {
@@ -118,7 +117,6 @@ StreamLinkProtocol::encode(const CacheLine &data, Compressor *engine,
         t.bits = t.wire.sizeBits();
         spans_.close(sp_raw);
     } else {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
         int sp_ser = spans_.open(Stage::Serialize, sp_line);
         BitVec enc = engine->compress(data, {});
         BitWriter bw;

@@ -22,10 +22,10 @@
  *
  * Storage is a fixed array (TraceEvent::kMaxSpans); recording never
  * allocates, keeping the `// cable-lint: no-alloc` contract of the
- * search pipeline intact. Like telemetry/timing.h, these are host
- * wall-clock measurements of the simulator's own stages — profiling
- * data for "make the hot path faster" PRs — not simulated link
- * cycles (core/pipeline.h covers those).
+ * search pipeline intact. Spans are the one stage timer: these are
+ * host wall-clock measurements of the simulator's own stages —
+ * profiling data for "make the hot path faster" changes — not
+ * simulated link cycles (core/pipeline.h covers those).
  */
 
 #ifndef CABLE_TELEMETRY_SPANS_H

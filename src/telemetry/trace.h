@@ -52,7 +52,7 @@ enum class Stage : std::uint8_t
     Frame,      ///< frame CRC append / check
     Link,       ///< receive side: decode + end-to-end verify
     Ack,        ///< post-delivery accounting (clean ACK path)
-    Retransmit, ///< NACK-triggered resend stall (aux = attempt)
+    Retransmit, ///< NACK-triggered resend stall (aux = attempts)
     Resync,     ///< desync recovery / resync-epoch work
 };
 
@@ -133,9 +133,13 @@ struct TraceEvent
 
     // ---- causal stage spans (critical-path profiling) ---------------
     /** Fixed capacity keeps the event stack-built and the recording
-     *  path allocation-free; the deepest real chain (encode + ARQ
-     *  retries + fallback) fits comfortably. */
-    static constexpr unsigned kMaxSpans = 12;
+     *  path allocation-free. It holds the deepest chain a transfer
+     *  can record, whatever the retry budget: line, serialize ×3
+     *  (self, refs, wire), signature, probe, score, frame ×2 (CRC
+     *  append, receive check), retransmit (the whole ARQ resend
+     *  loop), link (a failed decode), retransmit (the raw
+     *  fallback), ack. */
+    static constexpr unsigned kMaxSpans = 13;
     std::uint8_t nspans = 0; ///< 0 on unsampled transfers
     /** Only [0, nspans) is ever written or read, so the array is
      *  deliberately not zero-initialized: a TraceEvent is built on

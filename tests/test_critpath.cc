@@ -538,6 +538,205 @@ TEST(ChannelSpans, DisabledSamplingRecordsNothing)
             nullptr);
 }
 
+/** Keeps the latest encode event whole (spans with their aux) and
+ *  counts the non-raw ones. */
+class LastEncodeSink : public TraceSink
+{
+  public:
+    void
+    emit(const TraceEvent &ev) override
+    {
+        ++emitted_;
+        if (ev.type != TraceEvent::Type::Encode)
+            return;
+        last = ev;
+        if (std::string(ev.mode) != "raw")
+            ++non_raw;
+    }
+
+    TraceEvent last;
+    std::uint64_t non_raw = 0;
+};
+
+TEST(ChannelSpans, SpansTimeEverySearchAndDecode)
+{
+    // Spans are the only stage timer, so at period 1 they must see
+    // every search (one signature and one probe span each, in both
+    // link directions) and every decode of a non-raw transfer (one
+    // link span each).
+    Cache home({"home", 1u << 20, 8});
+    Cache remote({"remote", 128u << 10, 8});
+    CableChannel channel(home, remote, CableConfig{});
+    LastEncodeSink sink;
+    channel.setTraceSink(&sink);
+    channel.setSpanSampling(1);
+
+    ValueProfile vp;
+    vp.template_count = 16;
+    vp.region_lines = 8;
+    vp.template_vocab = 6;
+    vp.mutation_rate = 0.05;
+    SyntheticMemory mem(vp, 0, 37);
+    Rng rng(38);
+    // One in four accesses is a store; dirty victims are written
+    // back, which drives the write-back search.
+    for (int i = 0; i < 3000; ++i) {
+        Addr addr = rng.below(1 << 12) * kLineBytes;
+        bool store = rng.below(4) == 0;
+        if (remote.access(addr)) {
+            if (store && !remote.entryAt(remote.find(addr)).dirty())
+                channel.remoteUpgrade(addr);
+            continue;
+        }
+        if (!home.probe(addr))
+            (void)channel.homeInstall(addr, mem.lineAt(addr));
+        (void)channel.remoteFetch(addr, store);
+    }
+
+    const StatSet &st = channel.stats();
+    auto samples = [&](Stage s) -> std::uint64_t {
+        const Histogram *h = st.findHist(stageHistName(s));
+        return h ? h->samples() : 0;
+    };
+    std::uint64_t searches = st.get("searches");
+    std::uint64_t wb_searches = st.get("wb_searches");
+    ASSERT_GT(searches, 0u);
+    ASSERT_GT(wb_searches, 0u) << "no write-back search to cover";
+    EXPECT_EQ(samples(Stage::Signature), searches + wb_searches);
+    EXPECT_EQ(samples(Stage::Probe), searches + wb_searches);
+    ASSERT_GT(sink.non_raw, 0u);
+    EXPECT_EQ(samples(Stage::Link), sink.non_raw);
+}
+
+/** Corrupts bit 0 of the next `corrupt_packets` wire packets. */
+struct ScriptedCorruption : LinkFaultModel
+{
+    unsigned corrupt_packets = 0;
+
+    unsigned
+    corruptPacket(BitVec &wire) override
+    {
+        if (corrupt_packets == 0 || wire.sizeBits() == 0)
+            return 0;
+        --corrupt_packets;
+        wire.flipBit(0);
+        return 1;
+    }
+
+    bool dropSyncMessage() override { return false; }
+    bool corruptMetadata() override { return false; }
+    std::uint64_t pick(std::uint64_t) override { return 0; }
+};
+
+/** A channel sampling spans on every transfer under a scripted fault
+ *  model, over incompressible lines (so a duplicate line can only
+ *  be sent with references). */
+struct FaultSpanRig
+{
+    Cache home{{"home", 1u << 20, 8}};
+    Cache remote{{"remote", 256u << 10, 8}};
+    CableChannel channel;
+    ScriptedCorruption fault;
+    LastEncodeSink sink;
+    SyntheticMemory mem{[] {
+                            ValueProfile v;
+                            v.random_line_frac = 1.0;
+                            return v;
+                        }(),
+                        0, 6};
+
+    explicit FaultSpanRig(const CableConfig &cfg)
+        : channel(home, remote, cfg)
+    {
+        channel.setFaultModel(&fault);
+        channel.setTraceSink(&sink);
+        channel.setSpanSampling(1);
+    }
+
+    void
+    fetch(Addr addr)
+    {
+        if (!home.probe(addr))
+            (void)channel.homeInstall(addr, mem.lineAt(addr));
+        (void)channel.remoteFetch(addr, false);
+    }
+
+    /** Spans of @p stage in the latest encode event, in order. */
+    std::vector<StageSpan>
+    spansOf(Stage stage) const
+    {
+        std::vector<StageSpan> out;
+        for (unsigned i = 0; i < sink.last.nspans; ++i)
+            if (sink.last.spans[i].stage == stage)
+                out.push_back(sink.last.spans[i]);
+        return out;
+    }
+};
+
+TEST(ChannelSpans, ExhaustedRetriesStillEndInAck)
+{
+    // A transfer that exhausts a large retry budget must keep its
+    // raw-fallback and ack spans: the ARQ resend loop is one span,
+    // so the chain fits kMaxSpans whatever the budget.
+    CableConfig cfg;
+    cfg.max_retries = 8;
+    FaultSpanRig rig(cfg);
+    const Addr ref_addr = 0x5000, wb_addr = 0x6000;
+    rig.fetch(ref_addr);
+    rig.fetch(wb_addr);
+
+    // A write-back duplicating the reference line is ref-compressed;
+    // every packet is corrupted, so the compressed frame exhausts
+    // its retries and falls back to raw.
+    rig.fault.corrupt_packets = ~0u;
+    Transfer t =
+        rig.channel.writeBack(wb_addr, rig.mem.lineAt(ref_addr));
+    ASSERT_TRUE(t.raw_fallback);
+    const TraceEvent &ev = rig.sink.last;
+    ASSERT_GE(ev.refs, 1u) << "transfer was not ref-compressed";
+    ASSERT_GT(ev.nspans, 0u);
+    EXPECT_STREQ(stageName(ev.spans[ev.nspans - 1].stage), "ack");
+    std::vector<StageSpan> retx = rig.spansOf(Stage::Retransmit);
+    ASSERT_EQ(retx.size(), 2u) << "ARQ loop + raw fallback";
+    EXPECT_EQ(retx[0].aux, cfg.max_retries);
+}
+
+TEST(ChannelSpans, DeepestChainFitsExactly)
+{
+    // The deepest chain a transfer can record: a ref-compressed
+    // frame that needs an ARQ resend, then fails its decode check
+    // (desync) and is resent raw. It fills kMaxSpans exactly and
+    // still ends in ack.
+    FaultSpanRig rig{CableConfig{}};
+    const Addr ref_addr = 0x5000, wb_addr = 0x6000;
+    rig.fetch(wb_addr);
+    rig.fetch(ref_addr);
+    // Silently corrupt the home copy of the reference line, so the
+    // home-side decode of a write-back that references it fails.
+    LineID hlid = rig.home.find(ref_addr);
+    ASSERT_TRUE(hlid.valid);
+    CacheLine bad = rig.home.entryAt(hlid).data;
+    bad.setWord(0, ~bad.word(0));
+    rig.home.entryAt(hlid).data = bad;
+
+    rig.fault.corrupt_packets = 1; // one NACK, then a clean resend
+    Transfer t =
+        rig.channel.writeBack(wb_addr, rig.mem.lineAt(ref_addr));
+    ASSERT_TRUE(t.raw_fallback);
+    EXPECT_EQ(rig.channel.stats().get("desyncs_detected"), 1u);
+    const TraceEvent &ev = rig.sink.last;
+    ASSERT_GE(ev.refs, 1u) << "transfer was not ref-compressed";
+    EXPECT_EQ(ev.nspans, TraceEvent::kMaxSpans);
+    ASSERT_GT(ev.nspans, 0u);
+    EXPECT_STREQ(stageName(ev.spans[ev.nspans - 1].stage), "ack");
+    std::vector<StageSpan> retx = rig.spansOf(Stage::Retransmit);
+    ASSERT_EQ(retx.size(), 2u) << "ARQ loop + raw fallback";
+    EXPECT_EQ(retx[0].aux, 1u);
+    std::vector<StageSpan> link = rig.spansOf(Stage::Link);
+    ASSERT_EQ(link.size(), 1u);
+    EXPECT_EQ(link[0].aux, 1u) << "link span marks the failed decode";
+}
+
 // ---------------------------------------------------------------------
 // Allocation guard: span-carrying emission stays heap-free
 // ---------------------------------------------------------------------

@@ -18,7 +18,6 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/stats.h"
-#include "telemetry/timing.h"
 #include "telemetry/trace.h"
 
 using namespace cable;
@@ -432,23 +431,6 @@ TEST(SamplingTrace, DeterministicOneInN)
     auto [count1, text1] = run(1);
     EXPECT_EQ(count1, 11u);
     (void)text1;
-}
-
-TEST(Timing, ScopeRecordsWhenEnabled)
-{
-    StatSet s;
-    setTimingEnabled(false);
-    {
-        CABLE_TIMED_SCOPE(s, "t_test_ns");
-    }
-    EXPECT_EQ(s.findHist("t_test_ns"), nullptr);
-    setTimingEnabled(true);
-    {
-        CABLE_TIMED_SCOPE(s, "t_test_ns");
-    }
-    setTimingEnabled(false);
-    ASSERT_NE(s.findHist("t_test_ns"), nullptr);
-    EXPECT_EQ(s.findHist("t_test_ns")->samples(), 1u);
 }
 
 TEST(Log, ParseAndGating)

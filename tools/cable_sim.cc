@@ -52,7 +52,8 @@
  * telemetry options (ratio):
  *   --metrics-out F     machine-readable metrics JSON
  *                       (schema "cable-metrics-v1"); also enables
- *                       per-stage timing histograms
+ *                       stage span recording and its per-stage
+ *                       t_stage_*_ns histograms
  *   --snapshot-out F    end-of-run dictionary-structure snapshot
  *                       (schema "cable-structures-v1"): hash-table
  *                       occupancy/duplication histograms, WMT
@@ -68,10 +69,6 @@
  *   --critpath-sample N record spans on 1-in-N transfers
  *                       (default 64, deterministic by transfer
  *                       ordinal; requires --critpath-out or
- *                       --metrics-out)
- *   --timing-sample N   record 1-in-N timed-scope entries into the
- *                       t_* histograms (default 64; pass 1 for
- *                       exact histograms on every entry; requires
  *                       --metrics-out)
  *   --stats-interval K  epoch stats snapshot every K ops/thread
  *   --live-stats K      print one machine-readable link-health
@@ -110,7 +107,6 @@
 #include "telemetry/critpath.h"
 #include "telemetry/phase.h"
 #include "telemetry/spans.h"
-#include "telemetry/timing.h"
 #include "telemetry/trace.h"
 #include "sim/chaos.h"
 #include "sim/memlink.h"
@@ -242,7 +238,7 @@ const std::set<std::string> kBatchFlags = {"replicas", "jobs"};
 const std::set<std::string> kTelemetryFlags = {
     "metrics-out", "snapshot-out", "trace-out", "trace-format",
     "trace-sample", "stats-interval", "critpath-out",
-    "critpath-sample", "timing-sample", "live-stats", "phase-out",
+    "critpath-sample", "live-stats", "phase-out",
 };
 /** Presence-only switches; everything else must carry a value. */
 const std::set<std::string> kBoolFlags = {"stats", "timing",
@@ -282,7 +278,7 @@ parse(int argc, char **argv)
         // A following token is this flag's value unless it looks
         // like another option. A leading '-' followed by a digit is
         // a (negative) number, not an option — consuming it lets
-        // the numeric validators reject e.g. '--timing-sample -5'
+        // the numeric validators reject e.g. '--critpath-sample -5'
         // with the actionable out-of-range message instead of a
         // misleading "expects a value".
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -451,7 +447,6 @@ struct TelemetryArgs
     std::string trace_format = "jsonl";
     std::uint64_t trace_sample = 1;
     std::uint64_t critpath_sample = 64;
-    std::uint64_t timing_sample = 64;
     std::uint64_t stats_interval = 0; // ops per epoch; 0 = off
     std::uint64_t live_stats = 0;     // ops per status line; 0 = off
 
@@ -499,9 +494,6 @@ telemetryArgs(const Args &a)
     if (t.critpath_sample < 1)
         fail("--critpath-sample must be at least 1 "
              "(1 = every transfer)");
-    t.timing_sample = a.num("timing-sample", 64);
-    if (t.timing_sample < 1)
-        fail("--timing-sample must be at least 1 (1 = every entry)");
     t.stats_interval = a.num("stats-interval", 0);
     if (a.has("stats-interval") && t.stats_interval < 1)
         fail("--stats-interval must be at least 1 op");
@@ -526,8 +518,6 @@ telemetryArgs(const Args &a)
     if (a.has("critpath-sample") && !t.wantCritPath())
         fail("--critpath-sample requires --critpath-out or "
              "--metrics-out");
-    if (a.has("timing-sample") && t.metrics_path.empty())
-        fail("--timing-sample requires --metrics-out");
     return t;
 }
 
@@ -689,7 +679,6 @@ writeMetrics(const TelemetryArgs &tel, const Args &a,
     jw.field("link_bits", cfg.link.width_bits);
     jw.field("timing", cfg.timing);
     jw.field("stats_interval", tel.stats_interval);
-    jw.field("timing_sample", tel.timing_sample);
     jw.field("critpath_sample",
              critpath ? tel.critpath_sample : 0);
     jw.endObject();
@@ -918,10 +907,6 @@ cmdRatio(const Args &a)
     } else if (sampler) {
         sys.setTraceSink(sampler.get());
     }
-    // Per-stage wall-clock histograms ride along with metrics
-    // export; --timing-sample thins them 1-in-N per call site.
-    if (!tel.metrics_path.empty())
-        setTimingSamplePeriod(tel.timing_sample);
 
     // Tail-quantile sketches (frame bits, ARQ rounds, encode ns)
     // feed the metrics export and the phase report; off otherwise so

@@ -34,6 +34,8 @@ pipeline promises:
     the sample count, mean lies within [min, max], percentiles are
     monotone (p50 <= p90 <= p99);
   - derived ratios are null or within sane bounds;
+  - a cable run with searches > 0 carries the signature, probe and
+    serialize stage-span histograms (t_stage_*_ns);
   - epoch deltas re-add to the cumulative counters;
   - the "structures" section (cable scheme) satisfies the occupancy
     invariants: each hash table's bucket-occupancy histogram sums to
@@ -421,9 +423,15 @@ def check_metrics_v1(m, trace_path):
         if len(hists) < 4:
             err(f"expected at least 4 histograms, found {len(hists)}: "
                 f"{sorted(hists)}")
-        if not any(n.startswith("t_") for n in hists):
-            err("no per-stage timing histogram (t_*) in metrics "
-                "export")
+        # Stage spans are the one stage timer (DESIGN.md §8): a run
+        # that searched must carry the search and serialize span
+        # histograms bench_runner.py reads.
+        if m["stats"]["counters"].get("searches", 0) > 0:
+            for name in ("t_stage_signature_ns", "t_stage_probe_ns",
+                         "t_stage_serialize_ns"):
+                if name not in hists:
+                    err(f"searches > 0 but stage-span histogram "
+                        f"'{name}' missing")
 
     # Epoch deltas must re-add to the cumulative counters.
     epochs = m["epochs"]
