@@ -38,8 +38,7 @@ Oracle::decompress(const BitVec &bits, const RefList &refs)
     if (br.get(1)) {
         // Strip the selector and replay the LBE payload.
         BitWriter rest;
-        while (!br.exhausted())
-            rest.put(br.get(1), 1);
+        rest.appendBits(bits, br.pos(), bits.sizeBits());
         return lbe_.decompress(rest.bits(), refs);
     }
     return dpDecode(bits, br, refs);

@@ -49,10 +49,9 @@ expectedKind(Damage d)
 BitVec
 truncated(const BitVec &image, std::size_t keep_bits)
 {
-    BitVec out;
-    for (std::size_t i = 0; i < keep_bits && i < image.sizeBits(); ++i)
-        out.pushBit(image.bit(i));
-    return out;
+    BitWriter out;
+    out.appendBits(image, 0, std::min(keep_bits, image.sizeBits()));
+    return out.take();
 }
 
 /** Damages a copy of @p image; all draws come from @p rng so the

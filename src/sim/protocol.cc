@@ -127,7 +127,7 @@ StreamLinkProtocol::encode(const CacheLine &data, Compressor *engine,
         } else {
             // cable-wire: frame.stream flag kWireFlagBits
             bw.put(0, kWireFlagBits);
-            bw.appendBits(CableChannel::bitsOf(data));
+            CableChannel::putLine(bw, data);
             t.raw = true;
         }
         t.wire = bw.take();
