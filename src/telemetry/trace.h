@@ -141,10 +141,10 @@ struct TraceEvent
      *  fallback), ack. */
     static constexpr unsigned kMaxSpans = 13;
     std::uint8_t nspans = 0; ///< 0 on unsampled transfers
-    /** Only [0, nspans) is ever written or read, so the array is
-     *  deliberately not zero-initialized: a TraceEvent is built on
-     *  the hot path for every traced transfer, and a ~300-byte
-     *  memset per event is measurable at trace-sample 1. */
+    /** Only [0, nspans) is ever written or read. StageSpan's member
+     *  initializers still run for every slot when a TraceEvent is
+     *  built, ~300 bytes of stores, so the per-transfer Encode event
+     *  is one reused object (CableChannel::encode_ev_) instead. */
     StageSpan spans[kMaxSpans];
 
     static const char *typeName(Type t);
