@@ -1,8 +1,12 @@
-# Reruns one `cable_sim ratio ... --stats` command and compares its
-# stdout byte for byte against a committed fixture.
+# Reruns one `cable_sim` command and compares one of its outputs
+# byte for byte against a committed fixture.
 #
 #   cmake -DCLI=<cable_sim> -DARGS="ratio;mcf;..." -DGOLDEN=<fixture>
-#         -DOUT=<fresh dump> -P golden_stats.cmake
+#         -DOUT=<fresh stdout> [-DCOMPARE=<file>] -P golden_stats.cmake
+#
+# Without COMPARE the command's stdout (written to OUT) is compared;
+# with it, the named file the command wrote (e.g. its --snapshot-out
+# target) is compared instead.
 #
 # The fixtures pin every counter and histogram of both link
 # directions, so a refactor of the encode path must leave them
@@ -15,9 +19,12 @@ execute_process(COMMAND ${CLI} ${ARGS}
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "cable_sim exited with ${rc}")
 endif()
+if(NOT DEFINED COMPARE)
+    set(COMPARE ${OUT})
+endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${GOLDEN} ${OUT}
+                        ${GOLDEN} ${COMPARE}
                 RESULT_VARIABLE differ)
 if(NOT differ EQUAL 0)
-    message(FATAL_ERROR "stats dump ${OUT} differs from ${GOLDEN}")
+    message(FATAL_ERROR "output ${COMPARE} differs from ${GOLDEN}")
 endif()
