@@ -109,14 +109,14 @@ class EvictionBuffer
     void
     snapshot(StatSet &out, const std::string &prefix) const
     {
-        out.add(prefix + "capacity", capacity_);
-        out.add(prefix + "size", entries_.size());
-        out.add(prefix + "last_seq", seq_clock_);
-        out.add(prefix + "pushes", pushes_);
-        out.add(prefix + "retired", retired_);
-        out.add(prefix + "overflow_drops", overflow_drops_);
-        out.add(prefix + "finds", finds_);
-        out.add(prefix + "find_hits", find_hits_);
+        out.add(Counter::require(prefix + "capacity"), capacity_);
+        out.add(Counter::require(prefix + "size"), entries_.size());
+        out.add(Counter::require(prefix + "last_seq"), seq_clock_);
+        out.add(Counter::require(prefix + "pushes"), pushes_);
+        out.add(Counter::require(prefix + "retired"), retired_);
+        out.add(Counter::require(prefix + "overflow_drops"), overflow_drops_);
+        out.add(Counter::require(prefix + "finds"), finds_);
+        out.add(Counter::require(prefix + "find_hits"), find_hits_);
     }
 
   private:

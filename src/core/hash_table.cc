@@ -101,17 +101,17 @@ void
 SignatureHashTable::snapshot(StatSet &out,
                              const std::string &prefix) const
 {
-    out.add(prefix + "buckets", buckets_.size());
-    out.add(prefix + "ways", cfg_.bucket_ways);
-    out.add(prefix + "capacity",
+    out.add(Counter::require(prefix + "buckets"), buckets_.size());
+    out.add(Counter::require(prefix + "ways"), cfg_.bucket_ways);
+    out.add(Counter::require(prefix + "capacity"),
             buckets_.size() * cfg_.bucket_ways);
-    out.add(prefix + "inserts", inserts_);
-    out.add(prefix + "evictions", evictions_);
-    out.add(prefix + "refreshes", refreshes_);
-    out.add(prefix + "removes", removes_);
-    out.add(prefix + "remove_misses", remove_misses_);
-    out.add(prefix + "lookups", lookups_);
-    out.add(prefix + "lookup_lids", lookup_lids_);
+    out.add(Counter::require(prefix + "inserts"), inserts_);
+    out.add(Counter::require(prefix + "evictions"), evictions_);
+    out.add(Counter::require(prefix + "refreshes"), refreshes_);
+    out.add(Counter::require(prefix + "removes"), removes_);
+    out.add(Counter::require(prefix + "remove_misses"), remove_misses_);
+    out.add(Counter::require(prefix + "lookups"), lookups_);
+    out.add(Counter::require(prefix + "lookup_lids"), lookup_lids_);
 
     // One sample per bucket: the histogram's sum is the live-slot
     // count, so `sum == inserts - evictions` is the checkable
@@ -140,8 +140,8 @@ SignatureHashTable::snapshot(StatSet &out,
         occ.record(n);
         live += n;
     }
-    out.add(prefix + "occupancy", live);
-    out.add(prefix + "distinct_lids", dup.size());
+    out.add(Counter::require(prefix + "occupancy"), live);
+    out.add(Counter::require(prefix + "distinct_lids"), dup.size());
     Histogram &d = out.hist(prefix + "lid_duplication",
                             Histogram::Scale::Linear, 1, 34);
     for (const auto &[key, n] : dup)

@@ -137,12 +137,12 @@ WayMapTable::clearByHomeLID(std::uint32_t remote_set, LineID home_lid)
 void
 WayMapTable::snapshot(StatSet &out, const std::string &prefix) const
 {
-    out.add(prefix + "slots", slots_.size());
-    out.add(prefix + "lookups", lookups_);
-    out.add(prefix + "translate_misses", translate_misses_);
-    out.add(prefix + "sets", sets_);
-    out.add(prefix + "overwrites", overwrites_);
-    out.add(prefix + "clears", clears_);
+    out.add(Counter::require(prefix + "slots"), slots_.size());
+    out.add(Counter::require(prefix + "lookups"), lookups_);
+    out.add(Counter::require(prefix + "translate_misses"), translate_misses_);
+    out.add(Counter::require(prefix + "sets"), sets_);
+    out.add(Counter::require(prefix + "overwrites"), overwrites_);
+    out.add(Counter::require(prefix + "clears"), clears_);
 
     Histogram &occ = out.hist(prefix + "set_occupancy",
                               Histogram::Scale::Linear, 1,
@@ -156,7 +156,7 @@ WayMapTable::snapshot(StatSet &out, const std::string &prefix) const
         occ.record(n);
         live += n;
     }
-    out.add(prefix + "occupancy", live);
+    out.add(Counter::require(prefix + "occupancy"), live);
 }
 
 } // namespace cable

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -456,36 +457,49 @@ TEST(Rng, SplitMixAvalanche)
 TEST(Stats, CountersAndRatios)
 {
     StatSet s;
-    s.add("a", 10);
-    s.add("a", 5);
-    s.counter("b") = 3;
-    EXPECT_EQ(s.get("a"), 15u);
-    EXPECT_EQ(s.get("b"), 3u);
-    EXPECT_EQ(s.get("missing"), 0u);
-    EXPECT_DOUBLE_EQ(s.ratio("a", "b"), 5.0);
-    EXPECT_DOUBLE_EQ(s.ratio("a", "missing"), 0.0);
+    s.add("transfers", 10);
+    s.add("transfers", 5);
+    s.add("responses", 3);
+    EXPECT_EQ(s.get("transfers"), 15u);
+    EXPECT_EQ(s.get("responses"), 3u);
+    EXPECT_EQ(s.get("wire_bits"), 0u); // registered, never touched
+    EXPECT_DOUBLE_EQ(s.ratio("transfers", "responses"), 5.0);
+    EXPECT_DOUBLE_EQ(s.ratio("transfers", "wire_bits"), 0.0);
+}
+
+TEST(Stats, RunTimeNamesResolveThroughTheRegistry)
+{
+    std::optional<Counter> c = Counter::named("retransmits");
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->id(), Counter("retransmits").id());
+    EXPECT_EQ(c->name(), "retransmits");
+    EXPECT_FALSE(Counter::named("retransmit").has_value());
+    EXPECT_FALSE(Counter::named("").has_value());
+    StatSet s;
+    EXPECT_DEATH((void)s.get("retransmit"), "not in counters.def");
 }
 
 TEST(Stats, MergeAndClear)
 {
     StatSet a, b;
-    a.add("x", 1);
-    b.add("x", 2);
-    b.add("y", 3);
+    a.add("transfers", 1);
+    b.add("transfers", 2);
+    b.add("responses", 3);
     a.merge(b);
-    EXPECT_EQ(a.get("x"), 3u);
-    EXPECT_EQ(a.get("y"), 3u);
+    EXPECT_EQ(a.get("transfers"), 3u);
+    EXPECT_EQ(a.get("responses"), 3u);
     a.clear();
-    EXPECT_EQ(a.get("x"), 0u);
+    EXPECT_EQ(a.get("transfers"), 0u);
+    EXPECT_FALSE(a.has("transfers"));
 }
 
 TEST(Stats, DumpIsSorted)
 {
     StatSet s;
-    s.add("zz", 1);
-    s.add("aa", 2);
+    s.add("wire_bits", 1);
+    s.add("arq_timeouts", 2);
     std::ostringstream os;
     s.dump(os, "p.");
     std::string out = os.str();
-    EXPECT_LT(out.find("p.aa 2"), out.find("p.zz 1"));
+    EXPECT_LT(out.find("p.arq_timeouts 2"), out.find("p.wire_bits 1"));
 }

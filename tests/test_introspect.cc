@@ -123,20 +123,20 @@ TEST(HashTableProbe, OccupancySumsMatchAfterScriptedInsertEvict)
         ht.insert(s * 104729 + 13, LineID(2, 1));
 
     StatSet snap;
-    ht.snapshot(snap, "ht_");
-    std::uint64_t ins = snap.get("ht_inserts");
-    std::uint64_t evi = snap.get("ht_evictions");
-    EXPECT_EQ(snap.get("ht_occupancy"), ins - evi);
-    EXPECT_EQ(snap.get("ht_occupancy"), ht.occupancy());
-    EXPECT_EQ(histSum(snap, "ht_bucket_occupancy"), ins - evi);
-    EXPECT_LE(snap.get("ht_occupancy"), snap.get("ht_capacity"));
+    ht.snapshot(snap, "home_ht_");
+    std::uint64_t ins = snap.get("home_ht_inserts");
+    std::uint64_t evi = snap.get("home_ht_evictions");
+    EXPECT_EQ(snap.get("home_ht_occupancy"), ins - evi);
+    EXPECT_EQ(snap.get("home_ht_occupancy"), ht.occupancy());
+    EXPECT_EQ(histSum(snap, "home_ht_bucket_occupancy"), ins - evi);
+    EXPECT_LE(snap.get("home_ht_occupancy"), snap.get("home_ht_capacity"));
     // Both lines are resident somewhere, and the duplication
     // histogram counts every live slot once.
-    EXPECT_EQ(snap.get("ht_distinct_lids"),
-              histSum(snap, "ht_lid_duplication") > 0
-                  ? snap.findHist("ht_lid_duplication")->samples()
+    EXPECT_EQ(snap.get("home_ht_distinct_lids"),
+              histSum(snap, "home_ht_lid_duplication") > 0
+                  ? snap.findHist("home_ht_lid_duplication")->samples()
                   : 0);
-    EXPECT_EQ(histSum(snap, "ht_lid_duplication"), ins - evi);
+    EXPECT_EQ(histSum(snap, "home_ht_lid_duplication"), ins - evi);
 }
 
 TEST(HashTableProbe, RemoveCountsEvictionsAndKeepsInvariant)
@@ -148,13 +148,13 @@ TEST(HashTableProbe, RemoveCountsEvictionsAndKeepsInvariant)
     ht.remove(999, LineID(7, 7)); // miss
 
     StatSet snap;
-    ht.snapshot(snap, "ht_");
-    EXPECT_EQ(snap.get("ht_inserts"), 2u);
-    EXPECT_EQ(snap.get("ht_evictions"), 1u);
-    EXPECT_EQ(snap.get("ht_removes"), 1u);
-    EXPECT_EQ(snap.get("ht_remove_misses"), 1u);
-    EXPECT_EQ(snap.get("ht_occupancy"), 1u);
-    EXPECT_EQ(histSum(snap, "ht_bucket_occupancy"), 1u);
+    ht.snapshot(snap, "home_ht_");
+    EXPECT_EQ(snap.get("home_ht_inserts"), 2u);
+    EXPECT_EQ(snap.get("home_ht_evictions"), 1u);
+    EXPECT_EQ(snap.get("home_ht_removes"), 1u);
+    EXPECT_EQ(snap.get("home_ht_remove_misses"), 1u);
+    EXPECT_EQ(snap.get("home_ht_occupancy"), 1u);
+    EXPECT_EQ(histSum(snap, "home_ht_bucket_occupancy"), 1u);
 }
 
 TEST(HashTableProbe, ClearConvertsLiveSlotsToEvictions)
@@ -166,12 +166,12 @@ TEST(HashTableProbe, ClearConvertsLiveSlotsToEvictions)
     EXPECT_GT(live, 0u);
     ht.clear();
     StatSet snap;
-    ht.snapshot(snap, "ht_");
-    EXPECT_EQ(snap.get("ht_occupancy"), 0u);
+    ht.snapshot(snap, "home_ht_");
+    EXPECT_EQ(snap.get("home_ht_occupancy"), 0u);
     // Flush converted every live slot into an eviction, so the
     // invariant survives desync-recovery flushes.
-    EXPECT_EQ(snap.get("ht_inserts") - snap.get("ht_evictions"), 0u);
-    EXPECT_EQ(histSum(snap, "ht_bucket_occupancy"), 0u);
+    EXPECT_EQ(snap.get("home_ht_inserts") - snap.get("home_ht_evictions"), 0u);
+    EXPECT_EQ(histSum(snap, "home_ht_bucket_occupancy"), 0u);
 }
 
 TEST(HashTableProbe, RefreshDoesNotInflateInserts)
@@ -180,10 +180,10 @@ TEST(HashTableProbe, RefreshDoesNotInflateInserts)
     ht.insert(5, LineID(1, 1));
     ht.insert(5, LineID(1, 1)); // identical mapping: refresh
     StatSet snap;
-    ht.snapshot(snap, "ht_");
-    EXPECT_EQ(snap.get("ht_inserts"), 1u);
-    EXPECT_EQ(snap.get("ht_refreshes"), 1u);
-    EXPECT_EQ(snap.get("ht_occupancy"), 1u);
+    ht.snapshot(snap, "home_ht_");
+    EXPECT_EQ(snap.get("home_ht_inserts"), 1u);
+    EXPECT_EQ(snap.get("home_ht_refreshes"), 1u);
+    EXPECT_EQ(snap.get("home_ht_occupancy"), 1u);
 }
 
 // ---------------------------------------------------------------------
