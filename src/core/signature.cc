@@ -16,10 +16,6 @@ H3Hash::H3Hash(unsigned out_bits, std::uint64_t seed)
     mask_ = out_bits >= 32 ? ~0u : ((1u << out_bits) - 1);
 }
 
-namespace
-{
-
-/** Bit i set iff word i of @p line is non-trivial. */
 // cable-lint: no-alloc
 std::uint32_t
 nonTrivialMask(const CacheLine &line, const SignatureConfig &cfg)
@@ -27,8 +23,6 @@ nonTrivialMask(const CacheLine &line, const SignatureConfig &cfg)
     return ~trivialMask16(line.data(), cfg.trivial_threshold)
            & 0xffffu;
 }
-
-} // namespace
 
 // cable-lint: no-alloc
 void
@@ -55,8 +49,16 @@ void
 extractSearchSignaturesInto(const CacheLine &line,
                             const SignatureConfig &cfg, SigList &out)
 {
+    extractSearchSignaturesInto(line, nonTrivialMask(line, cfg), out);
+}
+
+// cable-lint: no-alloc
+void
+extractSearchSignaturesInto(const CacheLine &line,
+                            std::uint32_t nontrivial, SigList &out)
+{
     out.clear();
-    std::uint32_t mask = nonTrivialMask(line, cfg);
+    std::uint32_t mask = nontrivial;
     while (mask) {
         unsigned off = static_cast<unsigned>(std::countr_zero(mask));
         mask &= mask - 1;

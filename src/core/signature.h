@@ -154,6 +154,15 @@ void
 extractSearchSignaturesInto(const CacheLine &line,
                             const SignatureConfig &cfg, SigList &out);
 
+/** The same, from the line's nonTrivialMask() when the caller
+ *  already has it. */
+void extractSearchSignaturesInto(const CacheLine &line,
+                                 std::uint32_t nontrivial, SigList &out);
+
+/** Bit i set iff word i of @p line is non-trivial (§III-A). */
+std::uint32_t nonTrivialMask(const CacheLine &line,
+                             const SignatureConfig &cfg);
+
 /**
  * Vector-returning convenience form of extractInsertSignaturesInto.
  * Returns raw 32-bit signature words (unhashed); never more than
