@@ -39,7 +39,83 @@
 namespace cable
 {
 
-class QuantileSketch
+/**
+ * The exact part of a bucketed summary: sample count, sum and
+ * extrema. Histogram and QuantileSketch keep their buckets beside
+ * it, so mean() is exact and only their quantiles are estimates.
+ */
+class SampleMoments
+{
+  public:
+    std::uint64_t samples() const { return count_; }
+    std::uint64_t sum() const { return sum_; }
+
+    std::uint64_t
+    min() const
+    {
+        return count_ ? min_ : 0;
+    }
+
+    std::uint64_t
+    max() const
+    {
+        return count_ ? max_ : 0;
+    }
+
+    double
+    mean() const
+    {
+        return count_ ? static_cast<double>(sum_)
+                            / static_cast<double>(count_)
+                      : 0.0;
+    }
+
+  protected:
+    /** Adds @p n occurrences of @p v. */
+    void
+    addSamples(std::uint64_t v, std::uint64_t n)
+    {
+        count_ += n;
+        sum_ += v * n;
+        min_ = std::min(min_, v);
+        max_ = std::max(max_, v);
+    }
+
+    void
+    mergeMoments(const SampleMoments &other)
+    {
+        count_ += other.count_;
+        sum_ += other.sum_;
+        min_ = std::min(min_, other.min_);
+        max_ = std::max(max_, other.max_);
+    }
+
+    /** Count and sum since @p earlier, clamped at zero. Extrema
+     *  cannot be un-merged, so the cumulative ones stay. */
+    void
+    subtractMoments(const SampleMoments &earlier)
+    {
+        count_ -= std::min(earlier.count_, count_);
+        sum_ -= std::min(earlier.sum_, sum_);
+    }
+
+    void
+    dumpMoments(JsonWriter &jw) const
+    {
+        jw.field("count", count_);
+        jw.field("sum", sum_);
+        jw.field("min", min());
+        jw.field("max", max());
+        jw.field("mean", mean());
+    }
+
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t max_ = 0;
+};
+
+class QuantileSketch : public SampleMoments
 {
   public:
     /** Sub-bucket resolution: kSubBuckets = 2^kSubBits equal-width
@@ -66,33 +142,7 @@ class QuantileSketch
         if (!n)
             return;
         buckets_[bucketOf(v)] += n;
-        count_ += n;
-        sum_ += v * n;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    std::uint64_t samples() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-
-    std::uint64_t
-    min() const
-    {
-        return count_ ? min_ : 0;
-    }
-
-    std::uint64_t
-    max() const
-    {
-        return count_ ? max_ : 0;
-    }
-
-    double
-    mean() const
-    {
-        return count_ ? static_cast<double>(sum_)
-                            / static_cast<double>(count_)
-                      : 0.0;
+        addSamples(v, n);
     }
 
     /**
@@ -142,10 +192,7 @@ class QuantileSketch
             return;
         for (unsigned b = 0; b < kBucketCount; ++b)
             buckets_[b] += other.buckets_[b];
-        count_ += other.count_;
-        sum_ += other.sum_;
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
+        mergeMoments(other);
     }
 
     /**
@@ -157,26 +204,11 @@ class QuantileSketch
     QuantileSketch
     delta(const QuantileSketch &earlier) const
     {
-        QuantileSketch d;
+        QuantileSketch d = *this;
         for (unsigned b = 0; b < kBucketCount; ++b)
-            d.buckets_[b] =
-                buckets_[b]
-                - std::min(earlier.buckets_[b], buckets_[b]);
-        d.count_ = count_ - std::min(earlier.count_, count_);
-        d.sum_ = sum_ - std::min(earlier.sum_, sum_);
-        d.min_ = min_;
-        d.max_ = max_;
+            d.buckets_[b] -= std::min(earlier.buckets_[b], d.buckets_[b]);
+        d.subtractMoments(earlier);
         return d;
-    }
-
-    void
-    clear()
-    {
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-        count_ = 0;
-        sum_ = 0;
-        min_ = std::numeric_limits<std::uint64_t>::max();
-        max_ = 0;
     }
 
     /** [lo, hi] inclusive value range of bucket @p b. */
@@ -208,11 +240,7 @@ class QuantileSketch
     {
         jw.beginObject();
         jw.field("rel_error", kRelativeError);
-        jw.field("count", count_);
-        jw.field("sum", sum_);
-        jw.field("min", min());
-        jw.field("max", max());
-        jw.field("mean", mean());
+        dumpMoments(jw);
         jw.field("p50", quantile(0.50));
         jw.field("p90", quantile(0.90));
         jw.field("p99", quantile(0.99));
@@ -247,10 +275,6 @@ class QuantileSketch
     }
 
     std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t max_ = 0;
 };
 
 } // namespace cable

@@ -241,17 +241,10 @@ CableChannel::recordSearchShape(const Chosen &chosen, bool writeback)
     // recorded once per reference search, whether or not the
     // reference representation ultimately wins the cost comparison.
     stats_.hist("ht_hits_per_search").record(chosen.ht_hits);
-    stats_
-        .hist("ranked_candidates", Histogram::Scale::Linear, 1,
-              kWordsPerLine * 4 + 2)
-        .record(chosen.ranked);
-    stats_
-        .hist("cbv_covered_words", Histogram::Scale::Linear, 1,
-              kWordsPerLine + 2)
-        .record(chosen.covered_words);
-    stats_
-        .hist(writeback ? "wb_sigs_per_search" : "sigs_per_search",
-              Histogram::Scale::Linear, 1, kWordsPerLine + 2)
+    stats_.hist("ranked_candidates").record(chosen.ranked);
+    stats_.hist("cbv_covered_words").record(chosen.covered_words);
+    stats_.hist(writeback ? HistogramId("wb_sigs_per_search")
+                          : HistogramId("sigs_per_search"))
         .record(chosen.sigs_used);
 }
 
@@ -274,8 +267,7 @@ CableChannel::traceControl(TraceEvent::Type type, Addr addr,
         // reconciles against.
         ev.nspans = 1;
         ev.spans[0] = *span;
-        stats_.hist(stageHistName(span->stage))
-            .record(span->durationNs());
+        stats_.hist(stageHist(span->stage)).record(span->durationNs());
     }
     trace_->emit(ev);
 }
@@ -578,7 +570,7 @@ CableChannel::decodeVerify(const Chosen &chosen,
                            const CacheLine &original, Addr addr,
                            bool writeback)
 {
-    if (!cfg_.verify_roundtrip || chosen.raw)
+    if (chosen.raw)
         return;
     // Receiver-side reconstruction from the receiver's own data
     // array: a response reads the remote slot each RemoteLID names;
@@ -623,19 +615,15 @@ CableChannel::transmit(const CacheLine &data, LineID self,
 
     // Per-line distributions: the wire cost and reference-selection
     // quality of every transfer, the paper's Figs 5/9/20 material.
-    stats_
-        .hist("refs_per_line", Histogram::Scale::Linear, 1, 8)
-        .record(t.nrefs);
-    stats_
-        .hist("line_wire_bits", Histogram::Scale::Linear, 32, 20)
-        .record(t.bits);
+    stats_.hist("refs_per_line").record(t.nrefs);
+    stats_.hist("line_wire_bits").record(t.bits);
 
-    // Tail sketches (bounded-error quantiles; DESIGN.md §14). The
-    // cached pointers are null unless setSketchesEnabled(true), so
-    // the disabled path is one predictable branch.
-    if (q_frame_bits_) {
-        q_frame_bits_->record(t.bits);
-        q_arq_rounds_->record(t.retries);
+    // Tail sketches (bounded-error quantiles; DESIGN.md §14): off
+    // unless setSketchesEnabled(true), so the disabled path is one
+    // predictable branch.
+    if (sketches_) {
+        stats_.sketch("frame_bits").record(t.bits);
+        stats_.sketch("arq_rounds").record(t.retries);
     }
 
     if (trace_) {
@@ -662,11 +650,11 @@ CableChannel::transmit(const CacheLine &data, LineID self,
         // Encode wall-time tail: summed stage spans of the sampled
         // transfers (the same measurements the t_stage_* histograms
         // hold, reduced to one per-transfer latency).
-        if (q_encode_ns_ && ev.nspans > 0) {
+        if (sketches_ && ev.nspans > 0) {
             std::uint64_t ns = 0;
             for (unsigned i = 0; i < ev.nspans; ++i)
                 ns += ev.spans[i].durationNs();
-            q_encode_ns_->record(ns);
+            stats_.sketch("encode_ns").record(ns);
         }
         trace_->emit(ev);
     } else {

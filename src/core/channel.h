@@ -85,8 +85,6 @@ struct CableConfig
      * exist at the home (the paper's suggested solution).
      */
     bool inclusive = true;
-    /** Decompress-and-compare every transfer (cheap; keep on). */
-    bool verify_roundtrip = true;
     /** Disable all compression (uncompressed baseline). */
     bool compression_enabled = true;
     /** H3 seed; vary per channel instance. */
@@ -344,25 +342,21 @@ class CableChannel
      * transfer records frame bits and ARQ round trips — and, on
      * span-sampled transfers, encode nanoseconds — into fixed-
      * capacity QuantileSketches ("frame_bits", "arq_rounds",
-     * "encode_ns") in stats(). The sketch references are cached at
-     * enable time (map nodes are pointer-stable), so the disabled
-     * hot path pays one null-pointer test per transfer and the
-     * enabled path three branch-free bucket increments.
+     * "encode_ns") in stats(); enabling creates all three, so they
+     * export even before their first sample. The disabled hot path
+     * pays one flag test per transfer.
      */
     void
     setSketchesEnabled(bool on)
     {
+        sketches_ = on;
         if (on) {
-            q_frame_bits_ = &stats_.sketch("frame_bits");
-            q_arq_rounds_ = &stats_.sketch("arq_rounds");
-            q_encode_ns_ = &stats_.sketch("encode_ns");
-        } else {
-            q_frame_bits_ = nullptr;
-            q_arq_rounds_ = nullptr;
-            q_encode_ns_ = nullptr;
+            stats_.sketch("frame_bits");
+            stats_.sketch("arq_rounds");
+            stats_.sketch("encode_ns");
         }
     }
-    bool sketchesEnabled() const { return q_frame_bits_ != nullptr; }
+    bool sketchesEnabled() const { return sketches_; }
     /** Recorder clock (counted reads) — the resync protocol (sim
      *  layer) stamps its handshake span with the same clock so its
      *  cost lands in the same overhead self-report. */
@@ -699,11 +693,8 @@ class CableChannel
     /** The Encode event, reused across traced transfers so that its
      *  span slots are not re-initialized per transfer. */
     TraceEvent encode_ev_;
-    // Cached sketch pointers (null = disabled); see
-    // setSketchesEnabled().
-    QuantileSketch *q_frame_bits_ = nullptr;
-    QuantileSketch *q_arq_rounds_ = nullptr;
-    QuantileSketch *q_encode_ns_ = nullptr;
+    /** Tail sketches on; see setSketchesEnabled(). */
+    bool sketches_ = false;
 };
 
 /** Delegate-engine factory: per-line (non-persistent) variants. */

@@ -633,14 +633,11 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
         ch.evbuf_.entries_.push_back(
             {e.seq, LineID(e.set, e.way), e.data});
 
-    // Histograms are telemetry, not replicated channel state: a
-    // restored channel restarts them empty while every counter comes
-    // back exactly (the reconciliation tests depend on counters).
-    // Replacing stats_ frees the histogram and sketch nodes, so the
-    // pointers cached into them are resolved afresh.
+    // Histograms and sketches are telemetry, not replicated channel
+    // state: a restored channel restarts them empty while every
+    // counter comes back exactly (the reconciliation tests depend on
+    // counters).
     ch.stats_ = std::move(counters);
-    ch.setSketchesEnabled(ch.sketchesEnabled());
-    ch.spans_.forgetHistograms();
 
     // Every restore opens a new channel generation — the resync
     // handshake compares epochs to detect a restarted peer. The

@@ -116,9 +116,8 @@ SignatureHashTable::snapshot(StatSet &out,
     // One sample per bucket: the histogram's sum is the live-slot
     // count, so `sum == inserts - evictions` is the checkable
     // occupancy invariant.
-    Histogram &occ = out.hist(prefix + "bucket_occupancy",
-                              Histogram::Scale::Linear, 1,
-                              cfg_.bucket_ways + 2);
+    Histogram &occ =
+        out.hist(HistogramId::require(prefix + "bucket_occupancy"));
     // Slots per distinct resident LineID (Fig 21's duplication
     // count): a line inserted under many signatures occupies many
     // slots, inflating occupancy without widening reach.
@@ -142,8 +141,8 @@ SignatureHashTable::snapshot(StatSet &out,
     }
     out.add(Counter::require(prefix + "occupancy"), live);
     out.add(Counter::require(prefix + "distinct_lids"), dup.size());
-    Histogram &d = out.hist(prefix + "lid_duplication",
-                            Histogram::Scale::Linear, 1, 34);
+    Histogram &d =
+        out.hist(HistogramId::require(prefix + "lid_duplication"));
     for (const auto &[key, n] : dup)
         d.record(n);
 }

@@ -78,16 +78,9 @@ struct SearchPipelineModel
     void
     recordStages(StatSet &stats, unsigned nsigs) const
     {
-        Cycles worst = worstCaseCompression();
-        stats.hist("pipe_search_cycles", Histogram::Scale::Linear, 1,
-                   static_cast<unsigned>(worst) + 2)
-            .record(searchCycles(nsigs));
-        stats.hist("pipe_comp_cycles", Histogram::Scale::Linear, 1,
-                   static_cast<unsigned>(worst) + 2)
-            .record(compressionCycles(nsigs));
-        stats.hist("pipe_decomp_cycles", Histogram::Scale::Linear, 1,
-                   static_cast<unsigned>(worst) + 2)
-            .record(decompressionCycles());
+        stats.hist("pipe_search_cycles").record(searchCycles(nsigs));
+        stats.hist("pipe_comp_cycles").record(compressionCycles(nsigs));
+        stats.hist("pipe_decomp_cycles").record(decompressionCycles());
     }
 };
 

@@ -144,9 +144,8 @@ WayMapTable::snapshot(StatSet &out, const std::string &prefix) const
     out.add(Counter::require(prefix + "overwrites"), overwrites_);
     out.add(Counter::require(prefix + "clears"), clears_);
 
-    Histogram &occ = out.hist(prefix + "set_occupancy",
-                              Histogram::Scale::Linear, 1,
-                              cfg_.remote_ways + 2);
+    Histogram &occ =
+        out.hist(HistogramId::require(prefix + "set_occupancy"));
     std::uint64_t live = 0;
     for (std::uint32_t set = 0; set < cfg_.remote_sets; ++set) {
         std::uint64_t n = 0;

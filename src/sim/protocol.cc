@@ -148,8 +148,7 @@ StreamLinkProtocol::encode(const CacheLine &data, Compressor *engine,
         stats_.add("resp_raw_bits", t.raw_bits);
         stats_.add("resp_wire_bits", t.bits);
     }
-    stats_.hist("line_wire_bits", Histogram::Scale::Linear, 32, 20)
-        .record(t.bits);
+    stats_.hist("line_wire_bits").record(t.bits);
     if (trace_) {
         TraceEvent ev;
         ev.type = TraceEvent::Type::Encode;

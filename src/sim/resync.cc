@@ -123,8 +123,7 @@ ResyncSession::run()
             sp.begin_ns = span_begin;
             sp.end_ns = ch_.spanClockNs();
             ev.nspans = 1;
-            stats.hist(stageHistName(Stage::Resync))
-                .record(sp.durationNs());
+            stats.hist(stageHist(Stage::Resync)).record(sp.durationNs());
         }
         ts->emit(ev);
     }

@@ -40,9 +40,22 @@
 namespace cable
 {
 
-/** Histogram name a stage's span durations are recorded under
- *  (`t_stage_<name>_ns`); string literals with static storage. */
-const char *stageHistName(Stage s);
+/** Indexable by static_cast<unsigned>(Stage). */
+inline constexpr HistogramId kStageHists[kStageCount] = {
+    "t_stage_line_ns",      "t_stage_signature_ns",
+    "t_stage_probe_ns",     "t_stage_score_ns",
+    "t_stage_serialize_ns", "t_stage_frame_ns",
+    "t_stage_link_ns",      "t_stage_ack_ns",
+    "t_stage_retransmit_ns", "t_stage_resync_ns",
+};
+
+/** The histogram a stage's span durations are recorded under
+ *  (`t_stage_<name>_ns`). */
+inline HistogramId
+stageHist(Stage s)
+{
+    return kStageHists[static_cast<unsigned>(s)];
+}
 
 class SpanRecorder
 {
@@ -169,9 +182,7 @@ class SpanRecorder
      * No-op when the current transfer was not sampled.
      */
     // cable-lint: no-alloc (fixed-capacity copy; each stage's
-    // histogram is resolved by name once — std::map nodes are
-    // pointer-stable — and recorded through the cached pointer
-    // afterwards, so the steady state never builds a key string)
+    // histogram is an array slot indexed by its registered id)
     void
     drainTo(TraceEvent &ev, StatSet &stats)
     {
@@ -179,28 +190,14 @@ class SpanRecorder
             ev.nspans = 0;
             return;
         }
-        if (&stats != hist_stats_) {
-            hist_stats_ = &stats;
-            for (unsigned i = 0; i < kStageCount; ++i)
-                hists_[i] = nullptr;
-        }
         ev.nspans = static_cast<std::uint8_t>(n_);
         for (unsigned i = 0; i < n_; ++i) {
             ev.spans[i] = spans_[i];
-            unsigned si = static_cast<unsigned>(spans_[i].stage);
-            if (si >= kStageCount)
-                continue;
-            if (hists_[si] == nullptr)
-                hists_[si] =
-                    &stats.hist(stageHistName(spans_[i].stage));
-            hists_[si]->record(spans_[i].durationNs());
+            stats.hist(stageHist(spans_[i].stage))
+                .record(spans_[i].durationNs());
         }
         disarm();
     }
-
-    /** Drops the per-stage histogram cache: call after the StatSet
-     *  drainTo() records into was cleared or replaced in place. */
-    void forgetHistograms() { hist_stats_ = nullptr; }
 
     // ---- measured-overhead self-report ------------------------------
 
@@ -260,9 +257,6 @@ class SpanRecorder
     std::uint64_t period_ = 0;
     std::uint64_t sampled_ = 0;
     std::uint64_t clock_reads_ = 0;
-    /** Per-stage histogram cache for drainTo (keyed by StatSet). */
-    StatSet *hist_stats_ = nullptr;
-    Histogram *hists_[kStageCount] = {};
     std::chrono::steady_clock::time_point origin_ =
         std::chrono::steady_clock::now();
 };

@@ -40,14 +40,6 @@ const char *const kStageNames[kStageCount] = {
     "frame", "link",      "ack",   "retransmit", "resync",
 };
 
-const char *const kStageHistNames[kStageCount] = {
-    "t_stage_line_ns",      "t_stage_signature_ns",
-    "t_stage_probe_ns",     "t_stage_score_ns",
-    "t_stage_serialize_ns", "t_stage_frame_ns",
-    "t_stage_link_ns",      "t_stage_ack_ns",
-    "t_stage_retransmit_ns", "t_stage_resync_ns",
-};
-
 } // namespace
 
 const char *
@@ -55,14 +47,6 @@ stageName(Stage s)
 {
     unsigned i = static_cast<unsigned>(s);
     return i < kStageCount ? kStageNames[i] : "unknown";
-}
-
-const char *
-stageHistName(Stage s)
-{
-    unsigned i = static_cast<unsigned>(s);
-    return i < kStageCount ? kStageHistNames[i]
-                           : "t_stage_unknown_ns";
 }
 
 bool

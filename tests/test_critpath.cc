@@ -324,7 +324,7 @@ TEST(SpanRecorder, DrainReconcilesWithStageHistograms)
     // from the same measurements.
     for (unsigned i = 0; i < ev.nspans; ++i) {
         const Histogram *h =
-            stats.findHist(stageHistName(ev.spans[i].stage));
+            stats.findHist(stageHist(ev.spans[i].stage).name());
         ASSERT_NE(h, nullptr);
         EXPECT_EQ(h->sum(), ev.spans[i].durationNs());
         EXPECT_EQ(h->samples(), 1u);
@@ -514,7 +514,7 @@ TEST(ChannelSpans, StageHistogramsReconcileWithAnalyzer)
     for (unsigned i = 0; i < kStageCount; ++i) {
         Stage s = static_cast<Stage>(i);
         const Histogram *h =
-            channel.stats().findHist(stageHistName(s));
+            channel.stats().findHist(stageHist(s).name());
         std::uint64_t hist_sum = h ? h->sum() : 0;
         EXPECT_EQ(analyzer.stage(s).total_ns, hist_sum)
             << "stage " << stageName(s) << " diverged";
@@ -534,7 +534,7 @@ TEST(ChannelSpans, DisabledSamplingRecordsNothing)
         EXPECT_TRUE(s.spans.empty());
     for (unsigned i = 0; i < kStageCount; ++i)
         EXPECT_EQ(
-            r.stats.findHist(stageHistName(static_cast<Stage>(i))),
+            r.stats.findHist(stageHist(static_cast<Stage>(i)).name()),
             nullptr);
 }
 
@@ -595,7 +595,7 @@ TEST(ChannelSpans, SpansTimeEverySearchAndDecode)
 
     const StatSet &st = channel.stats();
     auto samples = [&](Stage s) -> std::uint64_t {
-        const Histogram *h = st.findHist(stageHistName(s));
+        const Histogram *h = st.findHist(stageHist(s).name());
         return h ? h->samples() : 0;
     };
     std::uint64_t searches = st.get("searches");

@@ -96,12 +96,12 @@ TEST(HistogramEdge, OverflowBucketClampsButKeepsExactExtrema)
 TEST(HistogramEdge, EpochDeltaOfUntouchedHistogramIsEmpty)
 {
     StatSet now;
-    now.hist("probe", Histogram::Scale::Linear, 1, 8).record(3);
+    now.hist("refs_per_line").record(3);
     StatSet earlier = now; // epoch snapshot
     // No samples recorded between the epochs: the delta histogram
     // must report zero samples, not re-count the cumulative ones.
     StatSet d = now.delta(earlier);
-    const Histogram *h = d.findHist("probe");
+    const Histogram *h = d.findHist("refs_per_line");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->samples(), 0u);
     EXPECT_EQ(h->sum(), 0u);

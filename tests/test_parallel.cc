@@ -179,6 +179,39 @@ TEST(AllocGuard, ScopeObservesHeapAllocations)
     }
 }
 
+TEST(AllocGuard, RecordingSearchAndTransferStatsIsAllocationFree)
+{
+    // The per-search and per-transfer histograms and the tail
+    // sketches are addressed by registered ids, not by key strings:
+    // once their buckets exist, recording allocates nothing, even
+    // for names longer than the small-string buffer.
+    StatSet stats;
+    auto record = [&](std::uint64_t v) {
+        stats.hist("ht_hits_per_search").record(v);
+        stats.hist("ranked_candidates").record(v);
+        stats.hist("cbv_covered_words").record(v);
+        stats.hist("sigs_per_search").record(v);
+        stats.hist("wb_sigs_per_search").record(v);
+        stats.hist("refs_per_line").record(v);
+        stats.hist("line_wire_bits").record(v);
+        stats.sketch("frame_bits").record(v);
+        stats.sketch("arq_rounds").record(v);
+        stats.sketch("encode_ns").record(v);
+    };
+    // Warm-up: the same samples, so every bucket already exists.
+    for (std::uint64_t v = 0; v < 1024; ++v)
+        record(v);
+
+    alloc_guard::Scope scope;
+    for (std::uint64_t v = 0; v < 1024; ++v)
+        record(v);
+    EXPECT_EQ(scope.allocations(), 0u);
+    ASSERT_NE(stats.findHist("ht_hits_per_search"), nullptr);
+    EXPECT_EQ(stats.findHist("ht_hits_per_search")->samples(), 2048u);
+    ASSERT_NE(stats.findSketch("encode_ns"), nullptr);
+    EXPECT_EQ(stats.findSketch("encode_ns")->samples(), 2048u);
+}
+
 TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
 {
     // The search pipeline (extract -> probe -> rank -> CBV ->

@@ -186,37 +186,21 @@ TEST(StatSet, RatioOptDistinguishesNeverRecorded)
     EXPECT_DOUBLE_EQ(*s.ratioOpt("wire_bits", "transfers"), 2.0);
 }
 
-TEST(StatSet, DumpQuotesAwkwardNames)
-{
-    // Counter names are registered identifiers; histogram names are
-    // free-form and must come out quoted when they need it.
-    StatSet s;
-    s.hist("plain").record(1);
-    s.hist("with space").record(2);
-    s.hist("quo\"te").record(3);
-    std::ostringstream os;
-    s.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("plain n=1 min=1"), std::string::npos);
-    EXPECT_NE(out.find("\"with space\" n=1 min=2"), std::string::npos);
-    EXPECT_NE(out.find("\"quo\\\"te\" n=1 min=3"), std::string::npos);
-}
-
 TEST(StatSet, EpochDeltaCountersAndHistograms)
 {
     StatSet s;
     s.add("transfers", 5);
-    s.hist("bits").record(100);
+    s.hist("line_wire_bits").record(100);
     StatSet epoch0 = s;
     s.add("transfers", 3);
-    s.hist("bits").record(200);
-    s.hist("fresh").record(1); // born after the snapshot
+    s.hist("line_wire_bits").record(200);
+    s.hist("flips_per_fault").record(1); // born after the snapshot
     StatSet d = s.delta(epoch0);
     EXPECT_EQ(d.get("transfers"), 3u);
-    ASSERT_NE(d.findHist("bits"), nullptr);
-    EXPECT_EQ(d.findHist("bits")->samples(), 1u);
-    ASSERT_NE(d.findHist("fresh"), nullptr);
-    EXPECT_EQ(d.findHist("fresh")->samples(), 1u);
+    ASSERT_NE(d.findHist("line_wire_bits"), nullptr);
+    EXPECT_EQ(d.findHist("line_wire_bits")->samples(), 1u);
+    ASSERT_NE(d.findHist("flips_per_fault"), nullptr);
+    EXPECT_EQ(d.findHist("flips_per_fault")->samples(), 1u);
 }
 
 TEST(StatSet, EpochDeltaOfIdleEpochIsAllZero)
@@ -225,13 +209,13 @@ TEST(StatSet, EpochDeltaOfIdleEpochIsAllZero)
     // missing entries, and never to wrapped-negative counters.
     StatSet s;
     s.add("transfers", 7);
-    s.hist("bits").record(64);
+    s.hist("line_wire_bits").record(64);
     s.sketch("frame_bits").record(64);
     StatSet snapshot = s;
     StatSet d = s.delta(snapshot);
     EXPECT_EQ(d.get("transfers"), 0u);
-    ASSERT_NE(d.findHist("bits"), nullptr);
-    EXPECT_EQ(d.findHist("bits")->samples(), 0u);
+    ASSERT_NE(d.findHist("line_wire_bits"), nullptr);
+    EXPECT_EQ(d.findHist("line_wire_bits")->samples(), 0u);
     ASSERT_NE(d.findSketch("frame_bits"), nullptr);
     EXPECT_EQ(d.findSketch("frame_bits")->samples(), 0u);
 }
@@ -242,19 +226,19 @@ TEST(StatSet, EpochDeltaAfterMergeOfDisjointHistograms)
     // delta must attribute exactly the merged-in samples, while a
     // histogram the snapshot already covered deltas to empty.
     StatSet s;
-    s.hist("local").record(10, 3);
+    s.hist("sigs_per_search").record(10, 3);
     StatSet snapshot = s;
     StatSet worker;
-    worker.hist("remote").record(99, 5);
-    worker.hist("local").record(20);
+    worker.hist("wb_sigs_per_search").record(99, 5);
+    worker.hist("sigs_per_search").record(20);
     s.merge(worker);
     StatSet d = s.delta(snapshot);
-    ASSERT_NE(d.findHist("remote"), nullptr);
-    EXPECT_EQ(d.findHist("remote")->samples(), 5u);
-    EXPECT_EQ(d.findHist("remote")->sum(), 5u * 99u);
-    ASSERT_NE(d.findHist("local"), nullptr);
-    EXPECT_EQ(d.findHist("local")->samples(), 1u);
-    EXPECT_EQ(d.findHist("local")->sum(), 20u);
+    ASSERT_NE(d.findHist("wb_sigs_per_search"), nullptr);
+    EXPECT_EQ(d.findHist("wb_sigs_per_search")->samples(), 5u);
+    EXPECT_EQ(d.findHist("wb_sigs_per_search")->sum(), 5u * 99u);
+    ASSERT_NE(d.findHist("sigs_per_search"), nullptr);
+    EXPECT_EQ(d.findHist("sigs_per_search")->samples(), 1u);
+    EXPECT_EQ(d.findHist("sigs_per_search")->sum(), 20u);
 }
 
 TEST(StatSet, EpochDeltaClampsCounterWrap)
@@ -276,18 +260,18 @@ TEST(StatSet, MergeCombinesAllKinds)
     StatSet a, b;
     a.add("transfers", 1);
     b.add("transfers", 2);
-    b.hist("h").record(4);
+    b.hist("ht_hits_per_search").record(4);
     a.merge(b);
     EXPECT_EQ(a.get("transfers"), 3u);
-    ASSERT_NE(a.findHist("h"), nullptr);
-    EXPECT_EQ(a.findHist("h")->samples(), 1u);
+    ASSERT_NE(a.findHist("ht_hits_per_search"), nullptr);
+    EXPECT_EQ(a.findHist("ht_hits_per_search")->samples(), 1u);
 }
 
 TEST(StatSet, DumpJsonIsWellFormed)
 {
     StatSet s;
     s.add("transfers", 1);
-    s.hist("h").record(7);
+    s.hist("ht_hits_per_search").record(7);
     std::ostringstream os;
     JsonWriter jw(os);
     s.dumpJson(jw);
