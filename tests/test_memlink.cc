@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "golden_file.h"
 #include "sim/memlink.h"
 
 using namespace cable;
@@ -257,4 +260,30 @@ TEST(MemLink, CableDecoupledFromReplacementPolicy)
         EXPECT_GT(ratios[k], ratios[0] * 0.8);
         EXPECT_LT(ratios[k], ratios[0] * 1.2);
     }
+}
+
+TEST(MemLink, MultiprogramTimedRunMatchesGolden)
+{
+    // The only path through the per-thread back-invalidation loop:
+    // several programs share the LLC, so an LLC victim of one
+    // program is merged out of its owner's private L1/L2.
+    MemSystemConfig cfg = smallCfg("cable", true);
+    cfg.seed = 3;
+    std::vector<WorkloadProfile> progs{
+        benchmarkProfile("mcf"), benchmarkProfile("omnetpp"),
+        benchmarkProfile("gcc"), benchmarkProfile("soplex")};
+    for (WorkloadProfile &p : progs)
+        p.access.store_frac = 0.4;
+    MemLinkSystem sys(cfg, progs);
+    sys.run(40000);
+    std::ostringstream os;
+    sys.protocol().stats().dump(os);
+    for (unsigned t = 0; t < sys.numThreads(); ++t)
+        os << "thread " << t << " instructions "
+           << sys.instructions(t) << " time " << sys.threadTime(t)
+           << "\n";
+    for (const auto &[k, v] : sys.energy().breakdown(sys.maxTime()))
+        os << "energy " << k << " " << static_cast<long long>(v * 1e3)
+           << "\n";
+    expectMatchesGolden("memlink_multiprogram.txt", os.str());
 }

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "golden_file.h"
 #include "sim/numa.h"
 
 using namespace cable;
@@ -110,6 +113,26 @@ TEST(Numa, StoreHeavySharingStressStaysConsistent)
     sys.run(12000);
     EXPECT_GT(sys.invalidations(), 100u);
     SUCCEED(); // no verification panic across heavy invalidation
+}
+
+TEST(Numa, StoreHeavyRunMatchesGolden)
+{
+    // Pins the private-cache write-down and back-invalidation order
+    // (L1 wins over L2; dirty data reaches the LLC through the
+    // directory's sharer sweep) by its effect on every channel.
+    WorkloadProfile p = sharedProfile();
+    p.access.store_frac = 0.5;
+    p.access.ws_lines = 8 << 10;
+    NumaConfig cfg = smallCfg("cable");
+    cfg.seed = 7;
+    NumaSystem sys(cfg, p);
+    sys.run(6000);
+    std::ostringstream os;
+    sys.linkStats().dump(os);
+    os << "invalidations " << sys.invalidations() << "\n"
+       << "actively_shared_lines " << sys.activelySharedLines()
+       << "\n";
+    expectMatchesGolden("numa_store_heavy.txt", os.str());
 }
 
 TEST(NumaDeath, BadNodeCount)
