@@ -23,7 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "cache/cache.h"
+#include "cache/private_caches.h"
 #include "common/stats.h"
 #include "sim/dram.h"
 #include "sim/energy.h"
@@ -191,8 +191,7 @@ class MemLinkSystem
     struct Thread
     {
         unsigned id;
-        Cache l1;
-        Cache l2;
+        PrivateCaches caches;
         AccessGen gen;
         SyntheticMemory mem;
         Cycles time = 0;
@@ -209,7 +208,7 @@ class MemLinkSystem
         Thread(unsigned id_, const Cache::Config &l1c,
                const Cache::Config &l2c, const WorkloadProfile &prof,
                Addr base, std::uint64_t seed, std::uint64_t vseed)
-            : id(id_), l1(l1c), l2(l2c),
+            : id(id_), caches(l1c, l2c),
               gen(prof.access, base, seed), mem(prof.value, base, vseed)
         {
         }
@@ -219,11 +218,18 @@ class MemLinkSystem
     Cycles access(Thread &t, Addr addr, bool store);
     Cycles offChipFill(Thread &t, Addr addr, Cycles now);
     void prefetch(Thread &t, Addr miss_addr, Cycles now);
-    void installL2(Thread &t, Addr addr, const CacheLine &data);
-    void installL1(Thread &t, Addr addr, const CacheLine &data);
-    /** Back-invalidates addr from t's L1/L2, pushing dirty data to
-     *  the LLC (dirtyUpdate) first. */
+    /** Back-invalidates addr from every thread's L1/L2, writing
+     *  dirty data to the LLC (dirtyUpdate). */
     void backInvalUpper(Addr addr);
+    /** Write-down target of the private levels: the LLC, through
+     *  the link protocol's S→M upgrade. */
+    auto
+    toLlc()
+    {
+        return [this](Addr addr, const CacheLine &data) {
+            protocol_->dirtyUpdate(addr, data);
+        };
+    }
     SyntheticMemory &memoryOf(Addr addr);
     void accountLinkTransfer(const Transfer &t, bool critical,
                              Cycles &now, Cycles &extra_lat);

@@ -22,7 +22,7 @@
 #include <memory>
 #include <vector>
 
-#include "cache/cache.h"
+#include "cache/private_caches.h"
 #include "sim/protocol.h"
 #include "workload/access_gen.h"
 #include "workload/profile.h"
@@ -78,17 +78,22 @@ class MultiChipSystem
   private:
     void access(Addr addr, bool store);
     void fillLlc(Addr addr);
-    void installL2(Addr addr, const CacheLine &data);
-    void installL1(Addr addr, const CacheLine &data);
     void backInvalUpper(Addr addr);
     void dirtyToLlc(Addr addr, const CacheLine &data);
+    /** Write-down target of the private levels. */
+    auto
+    toLlc()
+    {
+        return [this](Addr addr, const CacheLine &data) {
+            dirtyToLlc(addr, data);
+        };
+    }
 
     MultiChipConfig cfg_;
     std::vector<std::unique_ptr<Cache>> llcs_;
     /** channels_[k] compresses the link home-node-k → node 0. */
     std::vector<LinkProtocolPtr> channels_; // index 0 unused
-    Cache l1_;
-    Cache l2_;
+    PrivateCaches caches_;
     std::unique_ptr<AccessGen> gen_;
     std::unique_ptr<SyntheticMemory> mem_;
     std::uint64_t op_count_ = 0;

@@ -59,35 +59,7 @@ NumaSystem::channel(unsigned home, unsigned requester)
 void
 NumaSystem::backInvalUpper(unsigned node, Addr addr)
 {
-    Thread &t = *threads_[node];
-    LineID l1id = t.l1.find(addr);
-    LineID l2id = t.l2.find(addr);
-    const CacheLine *newest = nullptr;
-    bool dirty = false;
-    if (l2id.valid) {
-        const Cache::Entry &e = t.l2.entryAt(l2id);
-        if (e.dirty()) {
-            newest = &e.data;
-            dirty = true;
-        }
-    }
-    if (l1id.valid) {
-        const Cache::Entry &e = t.l1.entryAt(l1id);
-        if (e.dirty()) {
-            newest = &e.data;
-            dirty = true;
-        }
-    }
-    // Invalidate first so dirtyToLlc's sharer sweep cannot recurse
-    // back into this node's private levels.
-    if (l1id.valid)
-        t.l1.invalidate(addr);
-    if (l2id.valid)
-        t.l2.invalidate(addr);
-    if (dirty && newest) {
-        CacheLine copy = *newest;
-        dirtyToLlc(node, addr, copy);
-    }
+    threads_[node]->caches.backInvalidate(addr, toLlc(node));
 }
 
 void
@@ -111,13 +83,8 @@ NumaSystem::dirtyToLlc(unsigned node, Addr addr, const CacheLine &data)
         ++invalidations_;
     }
     // The home node's private copies go stale too.
-    if (home != node
-        && (threads_[home]->l1.probe(addr)
-            || threads_[home]->l2.probe(addr))) {
-        threads_[home]->l1.invalidate(addr);
-        threads_[home]->l2.invalidate(addr);
+    if (home != node && threads_[home]->caches.discard(addr))
         ++invalidations_;
-    }
 
     // Private stores are only made globally visible here, so two
     // nodes can briefly hold dirty private copies; the sweep above
@@ -238,80 +205,11 @@ NumaSystem::fillLlc(Thread &t, Addr addr)
 }
 
 void
-NumaSystem::installL2(Thread &t, Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = t.l2.victimWay(addr);
-    LineID vlid(t.l2.setOf(addr), vway);
-    const Cache::Entry &victim = t.l2.entryAt(vlid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
-        const CacheLine *newest =
-            victim.dirty() ? &victim.data : nullptr;
-        bool dirty = victim.dirty();
-        LineID l1id = t.l1.find(vaddr);
-        if (l1id.valid) {
-            const Cache::Entry &e1 = t.l1.entryAt(l1id);
-            if (e1.dirty()) {
-                newest = &e1.data;
-                dirty = true;
-            }
-            t.l1.invalidate(vaddr);
-        }
-        if (dirty && newest) {
-            CacheLine copy = *newest;
-            t.l2.invalidate(vaddr);
-            dirtyToLlc(t.node, vaddr, copy);
-        }
-    }
-    t.l2.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
-NumaSystem::installL1(Thread &t, Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = t.l1.victimWay(addr);
-    LineID vlid(t.l1.setOf(addr), vway);
-    const Cache::Entry &victim = t.l1.entryAt(vlid);
-    if (victim.valid() && victim.dirty()) {
-        Addr vaddr = victim.tag << kLineShift;
-        if (!t.l2.probe(vaddr))
-            panic("NumaSystem: L2 not inclusive of L1");
-        t.l2.writeLine(vaddr, victim.data, true);
-    }
-    t.l1.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
 NumaSystem::access(Thread &t, Addr addr, bool store)
 {
-    Addr la = lineAlign(addr);
     unsigned j = t.node;
-
-    auto mutate = [&](Cache &c) {
-        LineID lid = c.find(la);
-        Cache::Entry &e = c.entryAt(lid);
-        unsigned w = static_cast<unsigned>((addr >> 2)
-                                           & (kWordsPerLine - 1));
-        std::uint64_t h = splitMix64(addr ^ (op_clock_ * 0x9e37ull));
-        std::uint32_t v =
-            (h & 1)
-                ? static_cast<std::uint32_t>((h >> 8) & 0xff)
-                : static_cast<std::uint32_t>(h >> 32);
-        e.data.setWord(w, v);
-        e.state = CoherenceState::Modified;
-    };
-
-    if (t.l1.access(la)) {
-        if (store)
-            mutate(t.l1);
-        return;
-    }
-
-    CacheLine data;
-    if (t.l2.access(la)) {
-        data = t.l2.entryAt(t.l2.find(la)).data;
-    } else {
-        Cache &llc_j = *llcs_[j];
+    Cache &llc_j = *llcs_[j];
+    auto fill = [&](Addr la) {
         // A local hit on a home line may be stale if another node
         // owns it dirty: flush the owner first.
         if (llc_j.probe(la) && nodeOf(la) == j) {
@@ -329,12 +227,9 @@ NumaSystem::access(Thread &t, Addr addr, bool store)
         }
         if (!llc_j.access(la))
             fillLlc(t, la);
-        data = llc_j.entryAt(llc_j.find(la)).data;
-        installL2(t, la, data);
-    }
-    installL1(t, la, data);
-    if (store)
-        mutate(t.l1);
+        return llc_j.entryAt(llc_j.find(la)).data;
+    };
+    t.caches.access(addr, store, op_clock_, fill, toLlc(j));
 }
 
 void

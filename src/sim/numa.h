@@ -24,7 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/cache.h"
+#include "cache/private_caches.h"
 #include "sim/protocol.h"
 #include "workload/access_gen.h"
 #include "workload/profile.h"
@@ -95,15 +95,14 @@ class NumaSystem
     struct Thread
     {
         unsigned node;
-        Cache l1;
-        Cache l2;
+        PrivateCaches caches;
         AccessGen gen;
         std::uint64_t ops = 0;
 
         Thread(unsigned node_, const Cache::Config &l1c,
                const Cache::Config &l2c, const AccessProfile &prof,
                Addr base, std::uint64_t seed)
-            : node(node_), l1(l1c), l2(l2c), gen(prof, base, seed)
+            : node(node_), caches(l1c, l2c), gen(prof, base, seed)
         {
         }
     };
@@ -111,11 +110,17 @@ class NumaSystem
     void step(Thread &t);
     void access(Thread &t, Addr addr, bool store);
     void fillLlc(Thread &t, Addr addr);
-    void installL2(Thread &t, Addr addr, const CacheLine &data);
-    void installL1(Thread &t, Addr addr, const CacheLine &data);
     void backInvalUpper(unsigned node, Addr addr);
     /** Dirty data from node's private levels reaches its LLC. */
     void dirtyToLlc(unsigned node, Addr addr, const CacheLine &data);
+    /** Write-down target of node's private levels. */
+    auto
+    toLlc(unsigned node)
+    {
+        return [this, node](Addr addr, const CacheLine &data) {
+            dirtyToLlc(node, addr, data);
+        };
+    }
     /** Vacates a slot of node's LLC, routing by the line's home. */
     void evictLlcSlot(unsigned node, LineID lid);
     /** Makes room in home node's LLC before a homeFill. */
