@@ -195,6 +195,14 @@ class JsonWriter
         os_ << "null";
     }
 
+    /** Emits @p json, a value another writer already serialized. */
+    void
+    rawValue(const std::string &json)
+    {
+        sep();
+        os_ << json;
+    }
+
     template <typename T>
     void
     field(const char *k, const T &v)
